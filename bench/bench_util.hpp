@@ -6,8 +6,6 @@
 // *shape* (who wins, scaling, crossovers) is the reproduction target.
 #pragma once
 
-#include <unistd.h>
-
 #include <chrono>
 #include <cmath>
 #include <cstdarg>
@@ -23,16 +21,6 @@
 #include "obs/schema.hpp"
 
 namespace allconcur::bench {
-
-/// Port block for the localhost TCP harness legs: mixed from pid *and*
-/// wall time, because parallel ctest runs several TCP binaries at once
-/// and pid-only draws collide once in a while (the bind asserts).
-inline std::uint16_t draw_port_base(std::uint64_t salt) {
-  Rng rng(static_cast<std::uint64_t>(::getpid()) * 2654435761u + salt +
-          static_cast<std::uint64_t>(
-              std::chrono::steady_clock::now().time_since_epoch().count()));
-  return static_cast<std::uint16_t>(21000 + rng.next_below(28000));
-}
 
 inline void print_title(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());

@@ -19,8 +19,6 @@
 //   $ ./dual_digraph              # full run
 //   $ ./dual_digraph --smoke      # ~2 s shape check (same assertions)
 //   $ ./dual_digraph --json=out.json
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -36,6 +34,7 @@
 #include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "net/ports.hpp"
 #include "net/tcp_transport.hpp"
 #include "plus/plus.hpp"
 
@@ -214,7 +213,7 @@ SimRun run_sim(SimMode mode, std::size_t n, std::size_t payload_bytes,
 // ---------------------------------------------------------------------------
 
 double run_tcp(std::size_t n, DurationNs horizon) {
-  const auto base_port = bench::draw_port_base(17);
+  const auto base_port = net::pick_free_port_base(n, 17);
   std::vector<NodeId> members(n);
   for (std::size_t i = 0; i < n; ++i) members[i] = static_cast<NodeId>(i);
 

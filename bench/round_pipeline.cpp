@@ -19,8 +19,6 @@
 //   $ ./round_pipeline              # full run
 //   $ ./round_pipeline --smoke      # ~2 s shape check (same assertions)
 //   $ ./round_pipeline --json=out.json
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -31,6 +29,7 @@
 #include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "net/ports.hpp"
 #include "net/tcp_transport.hpp"
 
 namespace allconcur {
@@ -120,8 +119,8 @@ struct TcpPoint {
 
 TcpPoint run_tcp(std::size_t n, std::size_t window, DurationNs pace,
                  DurationNs horizon, DurationNs skew = 0) {
-  const auto base_port =
-      bench::draw_port_base(window + static_cast<std::uint64_t>(skew));
+  const auto base_port = net::pick_free_port_base(
+      n, window + static_cast<std::uint64_t>(skew));
   std::vector<NodeId> members(n);
   for (std::size_t i = 0; i < n; ++i) members[i] = static_cast<NodeId>(i);
 

@@ -327,6 +327,7 @@ int main(int argc, char** argv) {
                              : std::vector<std::int64_t>{16, 64, 512, 4096,
                                                          65536});
   RelayResult relay_last;
+  double frame_ops_64 = 0, frame_ops_4k = 0;  // for the size-independence gate
   for (const std::int64_t p : payloads) {
     const auto r = bench_relay(static_cast<std::size_t>(p), degree,
                                static_cast<std::size_t>(p) > 8192
@@ -335,7 +336,21 @@ int main(int argc, char** argv) {
     bench::row("%10lld %7zu %16.0f %16.0f %8.1fx",
                static_cast<long long>(p), degree, r.baseline_ops,
                r.frame_ops, r.speedup);
+    if (p == 64) frame_ops_64 = r.frame_ops;
+    if (p == 4096) frame_ops_4k = r.frame_ops;
     relay_last = r;
+  }
+  // Relaying a payload must not re-read its bytes: the payload checksum is
+  // computed once and cached on the shared bytes, so a 4 KiB relay costs
+  // about what a 64 B one does. Both figures come from this run, so the
+  // ratio does not depend on the host's speed. 0 when either size is
+  // missing from --payload-bytes (gate skipped).
+  const double relay_size_ratio =
+      frame_ops_64 > 0 ? frame_ops_4k / frame_ops_64 : 0.0;
+  if (relay_size_ratio > 0) {
+    bench::print_note("frame relay msgs/s, 4096 B vs 64 B: " +
+                      std::to_string(relay_size_ratio) +
+                      "x (>= 0.5x asserted)");
   }
 
   bench::print_title("Transmit: vectored sendmsg vs send-per-frame");
@@ -371,7 +386,7 @@ int main(int argc, char** argv) {
       "Observability: recorder + tracer (1/64) overhead (wire path)");
   const std::size_t obs_n = 8;
   const std::size_t obs_rounds = smoke ? 200 : 400;
-  const std::size_t obs_pairs = smoke ? 14 : 16;
+  const std::size_t obs_pairs = smoke ? 56 : 64;
   Summary obs_ratios;
   RoundResultBench best_off, best_on;
   // Discarded warmup chunk: the first codec run pays allocator growth and
@@ -437,6 +452,13 @@ int main(int argc, char** argv) {
                  "WARNING: frame relay speedup %.2fx < 1.2x (noisy run, or "
                  "a regression in the frame path)\n",
                  relay_last.speedup);
+  }
+  if (relay_size_ratio > 0 && relay_size_ratio < 0.5) {
+    std::fprintf(stderr,
+                 "FAIL: 4096 B frame relay at %.2fx the 64 B rate (< 0.5x): "
+                 "relay cost grows with payload size\n",
+                 relay_size_ratio);
+    return 1;
   }
   // Steady-state heap churn is a hard budget, not a timing measurement:
   // allocation counts are deterministic, so a regression here is real.

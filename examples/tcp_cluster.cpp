@@ -8,10 +8,10 @@
 #include <cstdio>
 #include <memory>
 #include <thread>
-#include <unistd.h>
 #include <vector>
 
 #include "common/flags.hpp"
+#include "net/ports.hpp"
 #include "net/tcp_transport.hpp"
 
 using namespace allconcur;
@@ -21,8 +21,7 @@ int main(int argc, char** argv) {
   const std::size_t n = static_cast<std::size_t>(flags.get_int("n", 5));
   const std::uint64_t rounds =
       static_cast<std::uint64_t>(flags.get_int("rounds", 10));
-  const auto base_port =
-      static_cast<std::uint16_t>(20000 + (::getpid() * 137) % 30000);
+  const auto base_port = net::pick_free_port_base(n);
 
   std::vector<NodeId> members(n);
   for (std::size_t i = 0; i < n; ++i) members[i] = static_cast<NodeId>(i);

@@ -42,6 +42,7 @@
 #include "graph/gs_digraph.hpp"
 #include "graph/properties.hpp"
 #include "graph/reliability.hpp"
+#include "net/ports.hpp"
 #include "net/tcp_transport.hpp"
 #include "plus/plus.hpp"
 #include "sim/network_model.hpp"

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/assert.hpp"
+#include "core/crc32c.hpp"
 
 namespace allconcur::core {
 
@@ -84,17 +85,18 @@ namespace {
 
 // Little-endian header layout (32 bytes):
 //   [0]  u8  type
-//   [1]  u8  reserved
+//   [1]  u8  trace context (Message::trace)
 //   [2]  u16 magic (Message::kFrameMagic)
 //   [4]  u32 origin
 //   [8]  u32 detector
 //   [12] u32 payload length
 //   [16] u64 round
-//   [24] u32 FNV-1a checksum over the payload bytes
-//   [28] u32 FNV-1a checksum over header bytes [0, 28)
+//   [24] u32 CRC32C over the payload bytes
+//   [28] u32 CRC32C over header bytes [0, 28)
 // The header checksum seals the length field, so a parser never waits on
 // a corrupted length; the payload checksum then guards the body without
-// re-reading the header.
+// re-reading the header. CRC32C detects every burst error of 32 bits or
+// fewer in the bytes it covers — in particular every single-byte flip.
 template <typename T>
 void put(std::uint8_t* out, std::size_t offset, T value) {
   std::memcpy(out + offset, &value, sizeof(T));
@@ -107,40 +109,23 @@ T get(std::span<const std::uint8_t> in, std::size_t offset) {
   return value;
 }
 
-constexpr std::uint32_t kFnvOffset = 2166136261u;
-constexpr std::uint32_t kFnvPrime = 16777619u;
-
-std::uint32_t fnv1a(std::uint32_t h, const std::uint8_t* p, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-/// FNV-1a over `count` zero bytes: each step is h = (h ^ 0) * prime, so the
-/// whole run folds to h * prime^count — O(log count) by binary
-/// exponentiation. Size-only payloads (throughput benches) are hashed
-/// without ever materializing their bytes.
-std::uint32_t fnv1a_zeros(std::uint32_t h, std::uint64_t count) {
-  std::uint32_t mult = 1;
-  std::uint32_t base = kFnvPrime;
-  while (count > 0) {
-    if (count & 1) mult *= base;
-    base *= base;
-    count >>= 1;
-  }
-  return h * mult;
-}
-
 /// Checksum of the message's payload, which may be shared bytes or a
-/// declared-length zero run (size-only).
+/// declared-length zero run (size-only). Shared bytes are summed once: the
+/// result is cached on them for every later frame over the same payload.
+/// Send side only — decode() never consults the cache.
 std::uint32_t payload_checksum(const Payload& payload,
                                std::uint64_t payload_bytes) {
   if (payload && !payload->empty()) {
-    return fnv1a(kFnvOffset, payload->data(), payload->size());
+    if (const auto cached = payload->cached_checksum()) return *cached;
+    const std::uint32_t sum = crc32c(0, payload->data(), payload->size());
+    payload->cache_checksum(sum);
+    return sum;
   }
-  return fnv1a_zeros(kFnvOffset, payload_bytes);
+  return crc32c_zeros(0, payload_bytes);
+}
+
+std::uint32_t header_checksum(const std::uint8_t* header) {
+  return crc32c(0, header, Message::kHeaderSumOffset);
 }
 
 void encode_header(const Message& m, std::uint8_t* out) {
@@ -155,8 +140,7 @@ void encode_header(const Message& m, std::uint8_t* out) {
   put<std::uint64_t>(out, 16, m.round);
   put<std::uint32_t>(out, Message::kPayloadSumOffset,
                      payload_checksum(m.payload, m.payload_bytes));
-  put<std::uint32_t>(out, Message::kHeaderSumOffset,
-                     fnv1a(kFnvOffset, out, Message::kHeaderSumOffset));
+  put<std::uint32_t>(out, Message::kHeaderSumOffset, header_checksum(out));
 }
 
 /// Parses header fields only; nullopt on an unknown type tag or a missing
@@ -184,7 +168,7 @@ bool header_plausible(std::span<const std::uint8_t> bytes) {
   if (raw_type < 1 || raw_type > 7) return false;
   if (get<std::uint16_t>(bytes, 2) != Message::kFrameMagic) return false;
   if (get<std::uint32_t>(bytes, 12) > kMaxStreamPayloadBytes) return false;
-  return fnv1a(kFnvOffset, bytes.data(), Message::kHeaderSumOffset) ==
+  return header_checksum(bytes.data()) ==
          get<std::uint32_t>(bytes, Message::kHeaderSumOffset);
 }
 
@@ -252,9 +236,9 @@ FrameRef Frame::corrupt_copy(const Frame& f, std::uint64_t index) {
   // Payload flip needs private bytes — the original payload is shared with
   // every other successor's queue (size-only payloads materialize here).
   const Payload& src = f.wire_payload();
-  auto bytes = std::make_shared<std::vector<std::uint8_t>>(*src);
-  (*bytes)[at - Message::kHeaderBytes] ^= 0xff;
-  copy->msg_.payload = std::move(bytes);
+  std::vector<std::uint8_t> bytes(*src);
+  bytes[at - Message::kHeaderBytes] ^= 0xff;
+  copy->msg_.payload = make_payload(std::move(bytes));
   return copy;
 }
 
@@ -295,12 +279,14 @@ std::optional<Message> decode(std::span<const std::uint8_t> bytes) {
   if (!frame || bytes.size() < *frame) return std::nullopt;
   auto m = decode_header(bytes);
   if (!m) return std::nullopt;
-  if (fnv1a(kFnvOffset, bytes.data(), Message::kHeaderSumOffset) !=
+  if (header_checksum(bytes.data()) !=
       get<std::uint32_t>(bytes, Message::kHeaderSumOffset)) {
     return std::nullopt;  // torn header: none of the fields are trustworthy
   }
-  const std::uint32_t body = fnv1a(
-      kFnvOffset, bytes.data() + Message::kHeaderBytes, m->payload_bytes);
+  // Always recomputed from the received bytes: a cached sum belongs to
+  // the sender's copy and proves nothing about what arrived.
+  const std::uint32_t body =
+      crc32c(0, bytes.data() + Message::kHeaderBytes, m->payload_bytes);
   if (body != get<std::uint32_t>(bytes, Message::kPayloadSumOffset)) {
     return std::nullopt;  // corrupted payload: never deliver it
   }
@@ -308,6 +294,9 @@ std::optional<Message> decode(std::span<const std::uint8_t> bytes) {
     m->payload = make_payload(std::vector<std::uint8_t>(
         bytes.begin() + Message::kHeaderBytes,
         bytes.begin() + static_cast<std::ptrdiff_t>(*frame)));
+    // The copy holds exactly the verified bytes, so relays of it reuse
+    // the sum just computed.
+    m->payload->cache_checksum(body);
   }
   return m;
 }

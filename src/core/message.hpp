@@ -58,15 +58,18 @@ struct Message {
   std::uint64_t payload_bytes = 0;
 
   /// Serialized header size (see message.cpp for the layout). The header
-  /// ends with two 32-bit FNV-1a checksums: one over the payload bytes and
-  /// one over the header itself. Splitting them lets a stream parser
-  /// validate the length field *before* waiting for the payload — a
-  /// corrupted length can otherwise stall a connection indefinitely — and
-  /// lets a payload-corrupt frame be skipped by its (now trusted) declared
-  /// length instead of a blind resync scan.
+  /// ends with two CRC32C checksums (core/crc32c.hpp): one over the payload
+  /// bytes and one over the header itself. Each detects every burst error
+  /// of 32 bits or fewer in what it covers, so every single-byte flip.
+  /// Splitting them lets a stream parser validate the length field
+  /// *before* waiting for the payload — a corrupted length can otherwise
+  /// stall a connection indefinitely — and lets a payload-corrupt frame be
+  /// skipped by its (now trusted) declared length instead of a blind
+  /// resync scan.
   static constexpr std::size_t kHeaderBytes = 32;
-  /// Offset of the payload checksum (FNV-1a over the payload bytes; the
-  /// FNV offset basis when the frame carries none).
+  /// Offset of the payload checksum (CRC32C over the payload bytes; 0 when
+  /// the frame carries none). Computed once per payload and cached on its
+  /// shared bytes (PayloadBytes), never read from a cache when verifying.
   static constexpr std::size_t kPayloadSumOffset = 24;
   /// Offset of the header checksum; also the number of header bytes it
   /// covers (everything before it, payload checksum included).
@@ -158,7 +161,8 @@ class Frame {
 
   /// Chaos-injection helper: a deep copy of `f` with the wire byte at
   /// `index % wire_size()` flipped. The checksum is NOT recomputed — the
-  /// receiving parser must detect the damage and drop the frame.
+  /// receiving parser must detect the damage and drop the frame. A flipped
+  /// payload gets fresh bytes with no cached sum.
   static FrameRef corrupt_copy(const Frame& f, std::uint64_t index);
 
  private:

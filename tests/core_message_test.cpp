@@ -1,11 +1,14 @@
 #include "core/message.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
 #include "core/batch.hpp"
+#include "core/crc32c.hpp"
 #include "test_env.hpp"
 
 namespace allconcur::core {
@@ -77,9 +80,10 @@ TEST(Message, DecodeRejectsTruncated) {
 }
 
 TEST(Message, ChecksumRejectsEverySingleByteFlip) {
-  // FNV-1a's xor-then-multiply chain is invertible, so any single-byte
-  // change yields a different checksum: flipping each wire byte in turn
-  // (header fields, either checksum, payload) must always be rejected.
+  // CRC32C detects every burst error of 32 bits or fewer, so any
+  // single-byte change yields a different checksum: flipping each wire
+  // byte in turn (header fields, either checksum, payload) must always be
+  // rejected.
   const auto bytes = encode(Message::bcast(9, 2, make_payload({5, 6, 7, 8})));
   ASSERT_TRUE(decode(bytes).has_value());
   for (std::size_t i = 0; i < bytes.size(); ++i) {
@@ -295,6 +299,126 @@ TEST(Frame, HeaderlessMessagesHaveNullWirePayload) {
   EXPECT_EQ(decoded->type, MsgType::kFail);
   EXPECT_EQ(decoded->origin, 1u);
   EXPECT_EQ(decoded->detector, 2u);
+}
+
+TEST(Frame, CachesThePayloadSumOncePerPayload) {
+  const Payload payload = make_payload({1, 2, 3, 4, 5, 6, 7, 8, 9});
+  EXPECT_FALSE(payload->cached_checksum().has_value());
+  const auto first = Frame::make(Message::bcast(1, 0, payload));
+  const std::uint32_t sum = crc32c(0, payload->data(), payload->size());
+  ASSERT_TRUE(payload->cached_checksum().has_value());
+  EXPECT_EQ(*payload->cached_checksum(), sum);
+  std::uint32_t on_wire = 0;
+  std::memcpy(&on_wire, first->header().data() + Message::kPayloadSumOffset,
+              sizeof(on_wire));
+  EXPECT_EQ(on_wire, sum);
+  // A relay of the same bytes reuses the sum and builds the same image.
+  const auto relay = Frame::make(Message::bcast(1, 0, payload));
+  EXPECT_EQ(relay->to_bytes(), first->to_bytes());
+  // A copy of the bytes starts without a sum: it may still change.
+  EXPECT_FALSE(PayloadBytes(*payload).cached_checksum().has_value());
+}
+
+TEST(Frame, DecodeCachesTheSumItVerified) {
+  const auto bytes = encode(Message::bcast(3, 1, make_payload({7, 7, 7})));
+  const auto decoded = decode(bytes);
+  ASSERT_TRUE(decoded.has_value());
+  std::uint32_t on_wire = 0;
+  std::memcpy(&on_wire, bytes.data() + Message::kPayloadSumOffset,
+              sizeof(on_wire));
+  ASSERT_TRUE(decoded->payload->cached_checksum().has_value());
+  EXPECT_EQ(*decoded->payload->cached_checksum(), on_wire);
+}
+
+TEST(Frame, VerificationNeverTrustsACachedSum) {
+  // Building the frame caches the payload sum on the shared bytes; the
+  // receive side must still recompute it from the bytes that arrived, so
+  // every flipped payload byte is caught.
+  Rng rng(allconcur::testing::test_seed() ^ 0xc4c3ull);
+  std::vector<std::uint8_t> data(300);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_u64());
+  const auto frame = Frame::make(Message::bcast(5, 2, make_payload(data)));
+  ASSERT_TRUE(frame->msg().payload->cached_checksum().has_value());
+  ASSERT_TRUE(decode(frame->to_bytes()).has_value());
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    const auto tainted = Frame::corrupt_copy(*frame, Message::kHeaderBytes + i);
+    EXPECT_FALSE(decode(tainted->to_bytes()).has_value()) << "payload byte " << i;
+  }
+}
+
+// ------------------------------------------------------------------------
+// CRC32C: known answers (RFC 3720 B.4) on both implementations, and the
+// zero-run operator against explicit zero buffers.
+// ------------------------------------------------------------------------
+
+using CrcFn = std::uint32_t (*)(std::uint32_t, const std::uint8_t*,
+                                std::size_t);
+
+void expect_known_answers(CrcFn crc) {
+  const std::vector<std::uint8_t> zeros(32, 0x00), ones(32, 0xff);
+  std::vector<std::uint8_t> ascending(32);
+  for (std::size_t i = 0; i < ascending.size(); ++i) {
+    ascending[i] = static_cast<std::uint8_t>(i);
+  }
+  const std::string check = "123456789";
+  EXPECT_EQ(crc(0, zeros.data(), zeros.size()), 0x8A9136AAu);
+  EXPECT_EQ(crc(0, ones.data(), ones.size()), 0x62A8AB43u);
+  EXPECT_EQ(crc(0, ascending.data(), ascending.size()), 0x46DD794Eu);
+  EXPECT_EQ(crc(0, reinterpret_cast<const std::uint8_t*>(check.data()),
+                check.size()),
+            0xE3069283u);
+  EXPECT_EQ(crc(0, nullptr, 0), 0u);
+  // Continuation: summing in two pieces equals summing at once, for every
+  // split (covers the 8-byte block loop and the byte tail).
+  for (std::size_t cut = 0; cut <= ascending.size(); ++cut) {
+    EXPECT_EQ(crc(crc(0, ascending.data(), cut), ascending.data() + cut,
+                  ascending.size() - cut),
+              0x46DD794Eu)
+        << "cut=" << cut;
+  }
+}
+
+TEST(Crc32c, TablePathKnownAnswers) {
+  expect_known_answers(&detail::crc32c_table);
+}
+
+TEST(Crc32c, HardwarePathKnownAnswers) {
+  if (!detail::crc32c_hw_available()) {
+    GTEST_SKIP() << "no SSE4.2 crc32 instruction on this CPU";
+  }
+  expect_known_answers(&detail::crc32c_hw);
+}
+
+TEST(Crc32c, PathsAgreeOnRandomBuffers) {
+  // Random lengths, plus the edges of the hardware path's three-stream
+  // blocks (3 x 256 and 3 x 8192 bytes).
+  Rng rng(allconcur::testing::test_seed() ^ 0x3720ull);
+  std::vector<std::size_t> lengths = {767,   768,   769,   1543,
+                                      24575, 24576, 24577, 100003};
+  for (int i = 0; i < 200; ++i) lengths.push_back(rng.next_below(5000));
+  for (const std::size_t len : lengths) {
+    std::vector<std::uint8_t> bytes(len);
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next_u64());
+    const auto seed = static_cast<std::uint32_t>(rng.next_u64());
+    const std::uint32_t expect =
+        detail::crc32c_table(seed, bytes.data(), bytes.size());
+    EXPECT_EQ(crc32c(seed, bytes.data(), bytes.size()), expect);
+    if (detail::crc32c_hw_available()) {
+      EXPECT_EQ(detail::crc32c_hw(seed, bytes.data(), bytes.size()), expect);
+    }
+  }
+}
+
+TEST(Crc32c, ZeroRunOperatorMatchesExplicitZeros) {
+  for (const std::uint64_t len : {0ull, 1ull, 7ull, 8ull, 9ull, 4095ull,
+                                  4096ull, 65537ull, 1ull << 20}) {
+    const std::vector<std::uint8_t> zeros(static_cast<std::size_t>(len), 0);
+    for (const std::uint32_t start : {0u, 0xE3069283u}) {
+      EXPECT_EQ(crc32c_zeros(start, len),
+                detail::crc32c_table(start, zeros.data(), zeros.size()))
+          << "len=" << len << " start=" << start;
+    }
+  }
 }
 
 }  // namespace

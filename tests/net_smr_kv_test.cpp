@@ -8,10 +8,9 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <unistd.h>
 #include <vector>
 
-#include "common/rng.hpp"
+#include "net/ports.hpp"
 #include "smr/tcp_kv.hpp"
 #include "test_env.hpp"
 
@@ -29,9 +28,7 @@ class KvTcpCluster {
  public:
   explicit KvTcpCluster(std::size_t n, DurationNs fd_timeout = ms(250),
                         std::size_t window = 1) {
-    Rng rng(test_seed() ^ static_cast<std::uint64_t>(::getpid()) ^ 0x6b76ull);
-    const std::uint16_t base =
-        static_cast<std::uint16_t>(20000 + rng.next_below(30000));
+    const std::uint16_t base = net::pick_free_port_base(n, test_seed());
     std::vector<NodeId> members(n);
     for (std::size_t i = 0; i < n; ++i) members[i] = static_cast<NodeId>(i);
     for (std::size_t i = 0; i < n; ++i) {

@@ -283,9 +283,9 @@ TEST(TcpCluster, AdminEndpointServesLiveMetricsAndRecorder) {
   std::uint16_t admin_base = 0;
   TcpCluster c(kNodes, core::FdMode::kPerfect, ms(250),
                [&admin_base](TcpNodeOptions& o) {
-                 // One block above the protocol ports, same layout rule
-                 // (admin_port + self), identical for every node.
-                 admin_base = static_cast<std::uint16_t>(o.base_port + 5000);
+                 // The block TcpCluster keeps free above the protocol
+                 // ports, same layout rule (admin_port + self).
+                 admin_base = static_cast<std::uint16_t>(o.base_port + kNodes);
                  o.admin_port = admin_base;
                });
   for (NodeId i = 0; i < kNodes; ++i) c.node(i).broadcast_now();
@@ -369,7 +369,7 @@ TEST(TcpCluster, TraceRouteServesSampledSpansAcrossNodes) {
   std::uint16_t admin_base = 0;
   TcpCluster c(kNodes, core::FdMode::kPerfect, ms(250),
                [&admin_base](TcpNodeOptions& o) {
-                 admin_base = static_cast<std::uint16_t>(o.base_port + 5000);
+                 admin_base = static_cast<std::uint16_t>(o.base_port + kNodes);
                  o.admin_port = admin_base;
                  o.trace_sample_period = 1;
                });

@@ -7,10 +7,9 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unistd.h>
 #include <vector>
 
-#include "common/rng.hpp"
+#include "net/ports.hpp"
 #include "net/tcp_transport.hpp"
 #include "test_env.hpp"
 
@@ -23,12 +22,9 @@ class TcpCluster {
   explicit TcpCluster(std::size_t n, core::FdMode fd_mode = core::FdMode::kPerfect,
                       DurationNs fd_timeout = ms(250),
                       std::function<void(net::TcpNodeOptions&)> tweak = nullptr) {
-    // Port block drawn from a deterministic RNG (so a given seed names a
-    // given port layout) and mixed with the pid so parallel ctest
-    // processes on one host don't collide.
-    Rng rng(test_seed() ^ static_cast<std::uint64_t>(::getpid()));
-    const std::uint16_t base =
-        static_cast<std::uint16_t>(20000 + rng.next_below(30000));
+    // 2n free ports: [base, base + n) for the nodes, and the n above
+    // them for tests that also open admin endpoints (base + n + self).
+    const std::uint16_t base = net::pick_free_port_base(2 * n, test_seed());
     fd_timeout = scaled(fd_timeout);
     std::vector<NodeId> members(n);
     for (std::size_t i = 0; i < n; ++i) members[i] = static_cast<NodeId>(i);

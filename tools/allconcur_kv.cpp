@@ -20,10 +20,10 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <unistd.h>
 #include <vector>
 
 #include "common/flags.hpp"
+#include "net/ports.hpp"
 #include "smr/tcp_kv.hpp"
 
 using namespace allconcur;
@@ -35,8 +35,7 @@ struct Cluster {
 
   explicit Cluster(std::size_t n, std::uint16_t admin_port = 0,
                    std::uint32_t trace_period = 0) {
-    const auto base = static_cast<std::uint16_t>(
-        20000 + (static_cast<unsigned>(::getpid()) * 137) % 30000);
+    const auto base = net::pick_free_port_base(n);
     std::vector<NodeId> members(n);
     for (std::size_t i = 0; i < n; ++i) members[i] = static_cast<NodeId>(i);
     for (std::size_t i = 0; i < n; ++i) {
