@@ -53,6 +53,10 @@ constexpr std::size_t kMaxIov = 64;
 /// free instead.
 constexpr std::size_t kCompactAt = 64 * 1024;
 
+/// Minimum free tail a read() is offered; the receive buffer grows (by
+/// doubling) when less is left.
+constexpr std::size_t kReadChunk = 64 * 1024;
+
 }  // namespace
 
 TcpNode::TcpNode(TcpNodeOptions options, DeliverFn on_deliver)
@@ -61,8 +65,14 @@ TcpNode::TcpNode(TcpNodeOptions options, DeliverFn on_deliver)
       recorder_(options_.recorder_capacity, options_.recorder_enabled),
       tracer_(options_.trace_capacity, options_.trace_sample_period != 0) {
   if (!options_.builder) options_.builder = core::make_default_graph_builder();
+  // Created here, not in run(): commands pushed before the loop starts
+  // still find a valid fd to wake.
+  event_fd_ = eventfd(0, EFD_NONBLOCK);
+  ALLCONCUR_ASSERT(event_fd_ >= 0, "eventfd failed");
   // Events are stamped with the event-loop wake time: one clock read per
   // wake covers every event it triggers (the wire path stays clean).
+  // Events recorded before run() (round 0 opens here) get this one.
+  loop_now_ = monotonic_now();
   recorder_.set_time_source(&loop_now_);
   tracer_.set_time_source(&loop_now_);
   tracer_.set_self(options_.self);
@@ -229,7 +239,6 @@ void TcpNode::run() {
   epoll_fd_ = epoll_create1(0);
   ALLCONCUR_ASSERT(epoll_fd_ >= 0, "epoll_create1 failed");
 
-  event_fd_ = eventfd(0, EFD_NONBLOCK);
   epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.fd = event_fd_;
@@ -255,10 +264,11 @@ void TcpNode::run() {
 
   epoll_event events[64];
   while (!stop_.load(std::memory_order_acquire)) {
-    // One clock read per wake stamps every flight-recorder event this
-    // iteration produces.
+    // Stamps what this iteration does before it sleeps; the clock is read
+    // again when epoll_wait returns.
     loop_now_ = monotonic_now();
-    // Commands may have been queued before the eventfd existed.
+    // A push that found the inbox non-empty wrote no eventfd: drain here so
+    // nothing queued behind the last wake's swap waits for a timeout.
     drain_commands();
     int wait_ms = 50;
     if (options_.send_delay > 0 || options_.chaos) {
@@ -289,6 +299,9 @@ void TcpNode::run() {
     }
     flush_dirty();
     const int ready = epoll_wait(epoll_fd_, events, 64, wait_ms);
+    // Everything this wake delivers is stamped with the wake time, not the
+    // time the loop went to sleep.
+    loop_now_ = monotonic_now();
     for (int i = 0; i < ready; ++i) {
       const int fd = events[i].data.fd;
       if (fd == listen_fd_) {
@@ -303,22 +316,23 @@ void TcpNode::run() {
           admin_conns_.erase(fd);
         }
       } else if (fd == event_fd_) {
-        std::uint64_t buf;
-        while (::read(event_fd_, &buf, 8) == 8) {
-        }
+        // One read returns and resets the whole count (non-semaphore).
+        std::uint64_t count;
+        [[maybe_unused]] const ssize_t n = ::read(event_fd_, &count, 8);
         drain_commands();
       } else if (fd == timer_fd_) {
-        std::uint64_t expirations;
-        while (::read(timer_fd_, &expirations, 8) == 8) {
-        }
+        std::uint64_t expirations;  // one read resets the count
+        [[maybe_unused]] const ssize_t n = ::read(timer_fd_, &expirations, 8);
         fd_tick();
       } else {
-        if (events[i].events & (EPOLLHUP | EPOLLERR)) {
+        // Hangups and errors go through the read path first, so frames
+        // that arrived ahead of them are parsed before the close.
+        const std::uint32_t what = events[i].events;
+        if (what & (EPOLLIN | EPOLLHUP | EPOLLERR)) on_readable(fd);
+        if (conns_.count(fd) == 0) continue;
+        if (what & (EPOLLHUP | EPOLLERR)) {
           close_conn(fd);
-          continue;
-        }
-        if (events[i].events & EPOLLIN) on_readable(fd);
-        if (conns_.count(fd) && (events[i].events & EPOLLOUT)) {
+        } else if (what & EPOLLOUT) {
           on_writable(fd);
         }
       }
@@ -355,20 +369,41 @@ void TcpNode::on_readable(int fd) {
   auto it = conns_.find(fd);
   if (it == conns_.end()) return;
   Conn& conn = it->second;
-  std::uint8_t buf[64 * 1024];
   for (;;) {
-    const ssize_t got = ::read(fd, buf, sizeof(buf));
+    if (conn.rcap - conn.rend < kReadChunk) {
+      // Grow by doubling; the copy carries only the live tail.
+      const std::size_t live = conn.rend - conn.rstart;
+      std::size_t cap = std::max(conn.rcap, kReadChunk);
+      while (cap - live < kReadChunk) cap *= 2;
+      auto grown = std::make_unique_for_overwrite<std::uint8_t[]>(cap);
+      if (live > 0) {
+        std::memcpy(grown.get(), conn.rbuf.get() + conn.rstart, live);
+      }
+      conn.rbuf = std::move(grown);
+      conn.rcap = cap;
+      conn.rstart = 0;
+      conn.rend = live;
+    }
+    const std::size_t want = conn.rcap - conn.rend;
+    const ssize_t got = ::read(fd, conn.rbuf.get() + conn.rend, want);
     if (got > 0) {
-      conn.rbuf.insert(conn.rbuf.end(), buf, buf + got);
-    } else if (got == 0) {
-      close_conn(fd);  // peer closed — its FD heartbeats stop with it
-      return;
-    } else if (errno == EINTR) {
+      conn.rend += static_cast<std::size_t>(got);
+      // A short read drained the socket; epoll reports it again if more
+      // arrives, so no probe read for EAGAIN.
+      if (static_cast<std::size_t>(got) < want) break;
+      // A full one may have left more: parse first, so the buffer holds at
+      // most one partial frame plus a chunk however fast the peer sends.
+      parse_frames(conn);
+    } else if (got < 0 && errno == EINTR) {
       continue;
-    } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+    } else if (got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       break;
     } else {
-      close_conn(fd);  // hard error (ECONNRESET & co): the peer is gone
+      // Peer closed (its FD heartbeats stop with it) or hard error
+      // (ECONNRESET & co). Frames that arrived ahead of the FIN are valid:
+      // deliver them before tearing the connection down.
+      parse_frames(conn);
+      close_conn(fd);
       return;
     }
   }
@@ -379,9 +414,9 @@ void TcpNode::parse_frames(Conn& conn) {
   std::size_t at = conn.rstart;
   // Inbound links start with the peer's 4-byte hello.
   if (conn.peer == kInvalidNode) {
-    if (conn.rbuf.size() - at < 4) return;
+    if (conn.rend - at < 4) return;
     std::uint32_t hello;
-    std::memcpy(&hello, conn.rbuf.data() + at, 4);
+    std::memcpy(&hello, conn.rbuf.get() + at, 4);
     conn.peer = hello;
     at += 4;
   }
@@ -390,7 +425,7 @@ void TcpNode::parse_frames(Conn& conn) {
   // and the parser hunts for the next plausible header instead of
   // desyncing the connection or stalling on a 4 GiB length field.
   core::StreamStats ss;
-  at = core::parse_stream({conn.rbuf.data(), conn.rbuf.size()}, at, ss,
+  at = core::parse_stream({conn.rbuf.get(), conn.rend}, at, ss,
                           [this, &conn](const core::Message& msg) {
                             net_.frames_received.fetch_add(
                                 1, std::memory_order_relaxed);
@@ -429,15 +464,15 @@ void TcpNode::parse_frames(Conn& conn) {
     net_.resyncs.fetch_add(ss.resyncs, std::memory_order_relaxed);
   }
   conn.rstart = at;
-  if (conn.rstart == conn.rbuf.size()) {
+  if (conn.rstart == conn.rend) {
     // Everything consumed — the common case: resetting is free, no memmove.
-    conn.rbuf.clear();
     conn.rstart = 0;
+    conn.rend = 0;
   } else if (conn.rstart >= kCompactAt &&
-             conn.rstart > conn.rbuf.size() - conn.rstart) {
+             conn.rstart > conn.rend - conn.rstart) {
     // A large dead prefix outweighs the live tail: compact once.
-    conn.rbuf.erase(conn.rbuf.begin(),
-                    conn.rbuf.begin() + static_cast<std::ptrdiff_t>(conn.rstart));
+    conn.rend -= conn.rstart;
+    std::memmove(conn.rbuf.get(), conn.rbuf.get() + conn.rstart, conn.rend);
     conn.rstart = 0;
     net_.rbuf_compactions.fetch_add(1, std::memory_order_relaxed);
   }
@@ -519,7 +554,8 @@ void TcpNode::queue_frame_now(NodeId dst, const core::FrameRef& frame) {
 }
 
 void TcpNode::flush_dirty() {
-  // Swap out first: close_conn during the loop may mutate conns_.
+  // Walks fds, not Conn references: close_conn during the walk erases from
+  // conns_, and a closed fd's stale entry is skipped by the lookup.
   if (dirty_fds_.empty()) return;
   for (std::size_t i = 0; i < dirty_fds_.size(); ++i) {
     const int fd = dirty_fds_[i];
@@ -666,42 +702,53 @@ void TcpNode::close_conn(int fd) {
 }
 
 void TcpNode::drain_commands() {
-  std::deque<std::function<void()>> pending;
   {
+    // drained_ is empty here: the swap hands the loop the whole inbox and
+    // leaves the producers an empty vector that keeps its capacity.
     const std::lock_guard<std::mutex> lock(cmd_mutex_);
-    pending.swap(commands_);
+    inbox_.swap(drained_);
   }
-  for (auto& fn : pending) fn();
+  for (Command& cmd : drained_) {
+    if (cmd.kind == Command::Kind::kSubmit) {
+      engine_->submit(std::move(cmd.request));
+    } else {
+      engine_->broadcast_now();
+    }
+  }
+  drained_.clear();
   // Publish the backpressure signal after the commands (submits,
   // broadcasts) took effect on the engine.
   pending_bytes_.store(engine_->pending_bytes(), std::memory_order_release);
 }
 
-void TcpNode::submit(core::Request request) {
+void TcpNode::push_command(Command cmd) {
+  bool was_empty;
   {
     const std::lock_guard<std::mutex> lock(cmd_mutex_);
-    commands_.push_back(
-        [this, request = std::move(request)]() mutable {
-          engine_->submit(std::move(request));
-        });
+    was_empty = inbox_.empty();
+    inbox_.push_back(std::move(cmd));
   }
+  // A non-empty inbox already has a wake pending, or the loop has not yet
+  // swapped it out and will drain it before it sleeps again.
+  if (was_empty) wake();
+}
+
+void TcpNode::wake() {
   const std::uint64_t one = 1;
   [[maybe_unused]] const ssize_t n = ::write(event_fd_, &one, 8);
 }
 
+void TcpNode::submit(core::Request request) {
+  push_command({Command::Kind::kSubmit, std::move(request)});
+}
+
 void TcpNode::broadcast_now() {
-  {
-    const std::lock_guard<std::mutex> lock(cmd_mutex_);
-    commands_.push_back([this] { engine_->broadcast_now(); });
-  }
-  const std::uint64_t one = 1;
-  [[maybe_unused]] const ssize_t n = ::write(event_fd_, &one, 8);
+  push_command({Command::Kind::kBroadcastNow, {}});
 }
 
 void TcpNode::stop() {
   stop_.store(true, std::memory_order_release);
-  const std::uint64_t one = 1;
-  [[maybe_unused]] const ssize_t n = ::write(event_fd_, &one, 8);
+  wake();
 }
 
 // ---------------------------------------------------------------------------

@@ -11,13 +11,25 @@
 // Each connection queues the shared frames and flushes them with one
 // vectored sendmsg per event-loop wake (iovec batching across queued
 // frames), so the relay fan-out costs neither per-destination copies nor
-// per-message syscalls. The receive side uses a consume-offset buffer that
-// compacts only when sparse, so steady-state parsing does no memmove.
+// per-message syscalls.
 //
-// One TcpTransport serves one node and is single-threaded: all socket and
-// protocol work happens on the owning thread inside run()/poll_once().
-// Cross-thread control (submit, broadcast, stop) goes through an eventfd
-// command queue, keeping the engine free of locks.
+// Receive path: a readable socket is read() straight into its
+// connection's receive buffer (growable, never zero-filled), with no
+// bounce buffer in between. The loop stops at the first read that returns
+// fewer bytes than asked instead of probing until EAGAIN: epoll is
+// level-triggered, so bytes that arrive later report the fd again. The
+// buffer is consume-offset: it resets when fully parsed and compacts only
+// when sparse, so steady-state parsing does no memmove.
+//
+// One TcpNode serves one node and is single-threaded: all socket and
+// protocol work happens on the thread inside run(). Cross-thread control
+// (submit, broadcast_now, stop) goes through a mutex-guarded command inbox
+// plus an eventfd, keeping the engine free of locks. A push writes the
+// eventfd only when it finds the inbox empty, so a burst of commands costs
+// one write and one wake; the loop drains the inbox after consuming the
+// eventfd and again at the top of every iteration, so no command is
+// stranded. One read of the eventfd (or of the heartbeat timerfd) returns
+// and resets its whole count.
 #pragma once
 
 #include <atomic>
@@ -25,6 +37,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <tuple>
 #include <vector>
@@ -180,11 +193,14 @@ class TcpNode {
     int fd = -1;
     NodeId peer = kInvalidNode;
     bool outbound = false;
-    // Receive side: consume-offset buffer. parse_frames advances `rstart`;
-    // the dead prefix is dropped wholesale once everything is consumed
-    // (free) and compacted (memmove) only when it dominates the buffer.
-    std::vector<std::uint8_t> rbuf;
-    std::size_t rstart = 0;
+    // Receive side: consume-offset buffer over uninitialized storage.
+    // read() appends at `rend`, parse_frames advances `rstart`; the dead
+    // prefix is dropped wholesale once everything is consumed (free) and
+    // compacted (memmove) only when it dominates the buffer.
+    std::unique_ptr<std::uint8_t[]> rbuf;
+    std::size_t rcap = 0;    ///< allocated bytes
+    std::size_t rstart = 0;  ///< first unparsed byte
+    std::size_t rend = 0;    ///< end of received bytes
     // Transmit side: shared frames queued per connection, coalesced into
     // one vectored sendmsg per event-loop wake.
     std::vector<std::uint8_t> preamble;  ///< connection hello, sent first
@@ -230,6 +246,16 @@ class TcpNode {
   void flush_dirty();
   void advance_tx(Conn& conn, std::size_t sent);
   void close_conn(int fd);
+  /// A cross-thread control request, executed on the loop thread in
+  /// arrival order.
+  struct Command {
+    enum class Kind : std::uint8_t { kSubmit, kBroadcastNow };
+    Kind kind = Kind::kSubmit;
+    core::Request request;  ///< kSubmit only
+  };
+  /// Appends to the inbox; wakes the loop only on empty -> non-empty.
+  void push_command(Command cmd);
+  void wake();
   void drain_commands();
   void update_epoll(Conn& conn);
   void fd_tick();
@@ -264,8 +290,9 @@ class TcpNode {
   };
   std::map<int, AdminConn> admin_conns_;
 
-  // Observability plane. loop_now_ is the event-loop wake timestamp the
-  // recorder stamps events with — one clock_gettime per wake, not per
+  // Observability plane. loop_now_ is the event-loop timestamp the
+  // recorder stamps events with: read when epoll_wait returns (and at the
+  // top of each iteration for the work done before sleeping), never per
   // event (the wire path stays syscall-free).
   obs::FlightRecorder recorder_;
   obs::TraceBuffer tracer_;
@@ -294,7 +321,8 @@ class TcpNode {
   } net_;
 
   std::mutex cmd_mutex_;
-  std::deque<std::function<void()>> commands_;
+  std::vector<Command> inbox_;    ///< guarded by cmd_mutex_
+  std::vector<Command> drained_;  ///< loop-side swap partner, reused
   std::atomic<bool> stop_{false};
   std::atomic<bool> connected_{false};
   std::atomic<std::uint64_t> completed_rounds_{0};

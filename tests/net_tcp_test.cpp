@@ -2,9 +2,16 @@
 // runs under the simulator, driven by the epoll transport.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "obs/inspect.hpp"
 #include "obs/trace.hpp"
@@ -402,6 +409,159 @@ TEST(TcpCluster, TraceRouteServesSampledSpansAcrossNodes) {
   ASSERT_TRUE(prom.has_value());
   EXPECT_NE(prom->find("allconcur_relay_hop_latency_ns_count"),
             std::string::npos);
+}
+
+TEST(TcpCluster, EventsCarryTheWakeTimeNotTheSleepTime) {
+  // Recorder events are stamped with the event-loop clock. It must be read
+  // when epoll_wait returns: a clock read before the sleep stamps what the
+  // wake delivers with the time the loop went idle.
+  TcpCluster c(3, core::FdMode::kPerfect, ms(250),
+               [](TcpNodeOptions& o) { o.enable_heartbeats = false; });
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  const TimeNs t0 = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        std::chrono::steady_clock::now().time_since_epoch())
+                        .count();
+  c.node(0).submit(Request::of_data({7}));
+  c.node(0).broadcast_now();
+  ASSERT_TRUE(c.wait_rounds({0, 1, 2}, 1, sec(10)));
+  c.shutdown();
+
+  bool saw_open = false, saw_recv = false;
+  for (const auto& e : c.node(1).recorder().events()) {
+    if (e.round != 0) continue;
+    if (e.kind == obs::EventKind::kRoundOpen && !saw_open) {
+      // Round 0 opens in the constructor, before run() reads any clock.
+      saw_open = true;
+      EXPECT_GT(e.t, 0) << "pre-run round open carries no timestamp";
+    }
+    if (e.kind == obs::EventKind::kMsgRecv) {
+      saw_recv = true;
+      EXPECT_GE(e.t, t0) << "origin " << e.a << " received "
+                         << (t0 - e.t) / 1000 << " us before it was sent";
+    }
+  }
+  EXPECT_TRUE(saw_open);
+  EXPECT_TRUE(saw_recv);
+}
+
+TEST(TcpCluster, FramesAheadOfFinAreParsedBeforeClose) {
+  // A peer's last frames can share a read with its FIN. They are valid and
+  // must be parsed before the connection is torn down, not dropped.
+  std::uint16_t base = 0;
+  TcpCluster c(3, core::FdMode::kPerfect, ms(250),
+               [&base](TcpNodeOptions& o) {
+                 base = o.base_port;
+                 o.enable_heartbeats = false;
+               });
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(base);  // node 0
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  // Corked, the data stays queued and the FIN rides on its last segment:
+  // node 0 finds the frames and the end of stream in the same wake.
+  const int one = 1;
+  ASSERT_EQ(setsockopt(fd, IPPROTO_TCP, TCP_CORK, &one, sizeof(one)), 0);
+  const std::uint32_t hello = 2;
+  std::vector<std::uint8_t> bytes(4);
+  std::memcpy(bytes.data(), &hello, 4);
+  const auto frame = core::encode(core::Message::heartbeat(2));
+  for (int k = 0; k < 3; ++k) bytes.insert(bytes.end(), frame.begin(), frame.end());
+  ASSERT_EQ(::write(fd, bytes.data(), bytes.size()),
+            static_cast<ssize_t>(bytes.size()));
+  ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::nanoseconds(testing::scaled(sec(2)));
+  while (c.node(0).net_stats().frames_received < 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  // Wait for the close too: a read that hit EOF must not lose the frames.
+  timeval limit{};
+  limit.tv_sec = 5;
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof(limit));
+  char sink;
+  EXPECT_EQ(::read(fd, &sink, 1), 0) << "node 0 never closed the link";
+  ::close(fd);
+  EXPECT_EQ(c.node(0).net_stats().frames_received, 3u);
+}
+
+TEST(TcpCluster, InboxStressDeliversEveryRequestOnceInProducerOrder) {
+  // Four producers share one node's command inbox, interleaving submits
+  // with broadcast_now(). The odd ones pause so the loop drains the inbox
+  // between their pushes, exercising the empty -> non-empty wake. Every
+  // request must reach every node exactly once, in per-producer order.
+  constexpr std::size_t kNodes = 3;
+  constexpr std::uint8_t kProducers = 4;
+  constexpr std::uint32_t kPerProducer = 1000;
+  TcpCluster c(kNodes, core::FdMode::kPerfect, ms(250),
+               [](TcpNodeOptions& o) { o.enable_heartbeats = false; });
+  std::vector<std::thread> producers;
+  for (std::uint8_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&c, p] {
+      for (std::uint32_t seq = 0; seq < kPerProducer; ++seq) {
+        std::vector<std::uint8_t> tag(5);
+        tag[0] = p;
+        std::memcpy(tag.data() + 1, &seq, 4);
+        c.node(0).submit(Request::of_data(std::move(tag)));
+        if (seq % 8 == 7) c.node(0).broadcast_now();
+        if (p % 2 == 1 && seq % 16 == 0) {
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+      }
+      c.node(0).broadcast_now();
+    });
+  }
+  for (auto& t : producers) t.join();
+
+  // Requests submitted after the last round opened need one more round.
+  const auto node0_requests = [&c](NodeId id) {
+    std::size_t n = 0;
+    for (const auto& r : c.delivered(id)) {
+      for (const auto& d : r.deliveries) {
+        if (d.origin != 0) continue;
+        const auto batch = core::unpack_batch(d.payload);
+        if (batch) n += batch->size();
+      }
+    }
+    return n;
+  };
+  const std::size_t total = std::size_t{kProducers} * kPerProducer;
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::nanoseconds(testing::scaled(sec(30)));
+  for (;;) {
+    bool done = true;
+    for (NodeId i = 0; i < kNodes && done; ++i) done = node0_requests(i) >= total;
+    if (done || std::chrono::steady_clock::now() > deadline) break;
+    c.node(0).broadcast_now();
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+
+  for (NodeId i = 0; i < kNodes; ++i) {
+    std::vector<std::uint32_t> next(kProducers, 0);
+    for (const auto& r : c.delivered(i)) {
+      for (const auto& d : r.deliveries) {
+        if (d.origin != 0) continue;
+        const auto batch = core::unpack_batch(d.payload);
+        ASSERT_TRUE(batch.has_value()) << "node " << i << " round " << r.round;
+        for (const auto& req : *batch) {
+          ASSERT_EQ(req.data.size(), 5u);
+          const std::uint8_t p = req.data[0];
+          ASSERT_LT(p, kProducers);
+          std::uint32_t seq = 0;
+          std::memcpy(&seq, req.data.data() + 1, 4);
+          ASSERT_EQ(seq, next[p]) << "node " << i << " producer " << int{p};
+          ++next[p];
+        }
+      }
+    }
+    for (std::uint8_t p = 0; p < kProducers; ++p) {
+      EXPECT_EQ(next[p], kPerProducer) << "node " << i << " producer " << int{p};
+    }
+  }
 }
 
 }  // namespace

@@ -50,9 +50,15 @@ class TcpCluster {
     for (auto& node : nodes_) node->wait_connected(scaled(sec(10)));
   }
 
-  ~TcpCluster() {
+  ~TcpCluster() { shutdown(); }
+
+  /// Stops every node and joins its thread; afterwards per-node state
+  /// (recorder, tracer, stats) is safe to read without racing the loop.
+  void shutdown() {
     for (auto& node : nodes_) node->stop();
-    for (auto& t : threads_) t.join();
+    for (auto& t : threads_) {
+      if (t.joinable()) t.join();
+    }
   }
 
   net::TcpNode& node(NodeId id) { return *nodes_[id]; }
