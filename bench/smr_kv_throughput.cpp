@@ -8,17 +8,125 @@
 // hash). Reported ops/s are commands *applied on every replica* per
 // simulated second — agreement + application, not just agreement.
 //
+//
+// Also reports apply.allocs_per_cmd: heap allocations per command while
+// one Replica applies pre-built rounds of puts and gets over keys and
+// sessions it has already seen. The apply path is meant to allocate
+// nothing there, and the bench exits nonzero when it does.
+//
 //   $ ./smr_kv_throughput            # full sweep
 //   $ ./smr_kv_throughput --smoke    # ~1 s shape check
+#include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/rng.hpp"
+#include "core/batch.hpp"
 #include "smr/kv_cluster.hpp"
+
+// ---------------------------------------------------------------------------
+// Global allocation counter (this TU only): heap churn of the apply path.
+// ---------------------------------------------------------------------------
+namespace {
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, std::align_val_t align) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  void* p = nullptr;
+  const std::size_t a =
+      std::max(static_cast<std::size_t>(align), sizeof(void*));
+  if (posix_memalign(&p, a, size) == 0) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 using namespace allconcur;
 
 namespace {
+
+struct ApplyAllocs {
+  double allocs_per_cmd = 0;
+  std::uint64_t cmds = 0;
+};
+
+/// Counts allocations in Replica::on_round over pre-built rounds: n
+/// deliveries a round, `cmds` commands each, half puts of `value_bytes`
+/// and half gets over `keys` keys, one session per delivery. Warm-up
+/// rounds (a put to every key, then a get by every session) leave every
+/// key stored and every session's response buffer large enough, so the
+/// measured rounds see only the steady state.
+ApplyAllocs measure_apply_allocs(std::size_t n, std::size_t cmds,
+                                 std::size_t keys, std::size_t value_bytes,
+                                 std::size_t rounds) {
+  std::vector<smr::KvSession> sessions;
+  for (std::size_t i = 0; i < n; ++i) sessions.emplace_back(i + 1);
+  const auto key = [](std::size_t k) {
+    return smr::to_bytes("key-" + std::to_string(k));
+  };
+  const smr::Bytes value(value_bytes, 0x61);
+  const auto make_round = [&](Round r, const auto& command) {
+    core::RoundResult result;
+    result.round = r;
+    result.view_size = n;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::vector<core::Request> batch;
+      for (std::size_t c = 0; c < cmds; ++c) {
+        batch.push_back(core::Request::of_data(sessions[i].issue(command())));
+      }
+      core::Delivery d;
+      d.origin = static_cast<NodeId>(i);
+      d.payload = core::pack_batch(batch);
+      result.deliveries.push_back(std::move(d));
+    }
+    return result;
+  };
+  std::vector<core::RoundResult> warmup, measured;
+  std::size_t next_key = 0;
+  while (next_key < keys) {
+    warmup.push_back(make_round(warmup.size(), [&] {
+      return smr::Command::put(key(next_key++ % keys), value);
+    }));
+  }
+  warmup.push_back(make_round(warmup.size(),
+                              [&] { return smr::Command::get(key(0)); }));
+  Rng rng(0xa110c);
+  for (std::size_t r = 0; r < rounds; ++r) {
+    measured.push_back(make_round(warmup.size() + r, [&] {
+      const smr::Bytes k = key(rng.next_below(keys));
+      return rng.next_below(2) == 0 ? smr::Command::put(k, value)
+                                    : smr::Command::get(k);
+    }));
+  }
+
+  smr::Replica replica(std::make_unique<smr::KvStore>());
+  for (const auto& round : warmup) replica.on_round(round);
+  const std::uint64_t applied0 = replica.commands_applied();
+  const std::uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
+  for (const auto& round : measured) replica.on_round(round);
+  const std::uint64_t allocs =
+      g_allocs.load(std::memory_order_relaxed) - allocs0;
+  ApplyAllocs out;
+  out.cmds = replica.commands_applied() - applied0;
+  out.allocs_per_cmd =
+      static_cast<double>(allocs) /
+      static_cast<double>(std::max<std::uint64_t>(out.cmds, 1));
+  return out;
+}
 
 struct SmrRunResult {
   double ops_per_sec = 0.0;
@@ -129,6 +237,16 @@ int main(int argc, char** argv) {
       json_rows.emplace_back(buf);
     }
   }
+  bench::print_title("SMR apply path: steady-state allocations");
+  bench::print_note(
+      "one Replica over pre-built rounds of 64 B puts and gets, keys and "
+      "sessions already seen; heap allocations counted per command");
+  const ApplyAllocs apply = measure_apply_allocs(
+      8, 8, 256, 64, smoke ? 64 : 512);
+  bench::row("%12s %16s", "commands", "allocs/cmd");
+  bench::row("%12llu %16.3f", static_cast<unsigned long long>(apply.cmds),
+             apply.allocs_per_cmd);
+
   const std::string json_path = flags.get("json", "");
   if (!json_path.empty()) {
     std::FILE* f = std::fopen(json_path.c_str(), "w");
@@ -142,7 +260,10 @@ int main(int argc, char** argv) {
       std::fprintf(f, "%s%s\n", json_rows[i].c_str(),
                    i + 1 < json_rows.size() ? "," : "");
     }
-    std::fprintf(f, "  ]");
+    std::fprintf(f, "  ],\n  \"apply\": {\"allocs_per_cmd\": %.3f, "
+                 "\"cmds\": %llu}",
+                 apply.allocs_per_cmd,
+                 static_cast<unsigned long long>(apply.cmds));
     bench::write_metrics_key(f, last_metrics_json);
     std::fprintf(f, "}\n");
     std::fclose(f);
@@ -150,6 +271,16 @@ int main(int argc, char** argv) {
   }
   if (!all_ok) {
     std::fprintf(stderr, "bench failed: stall or replica divergence\n");
+    return 1;
+  }
+  // Allocation counts are deterministic, so this is a hard gate: applying
+  // a get, or a put to a stored key, must allocate nothing.
+  constexpr double kApplyAllocBudget = 0.0;
+  if (apply.allocs_per_cmd > kApplyAllocBudget) {
+    std::fprintf(stderr,
+                 "FAIL: the apply path allocates %.3f times per command in "
+                 "steady state (budget %.1f)\n",
+                 apply.allocs_per_cmd, kApplyAllocBudget);
     return 1;
   }
   return 0;

@@ -424,7 +424,8 @@ int main(int argc, char** argv) {
         "  \"bench\": \"wire_path\",\n"
         "  \"smoke\": %s,\n"
         "  \"encode_relay\": {\"baseline_msgs_per_sec\": %.0f, "
-        "\"frame_msgs_per_sec\": %.0f, \"speedup\": %.2f},\n"
+        "\"frame_msgs_per_sec\": %.0f, \"speedup\": %.2f, "
+        "\"size_ratio_4096_over_64\": %.3f},\n"
         "  \"transmit\": {\"send_per_frame_frames_per_sec\": %.0f, "
         "\"vectored_frames_per_sec\": %.0f, \"speedup\": %.2f},\n"
         "  \"round_state\": {\"allocs_per_round_per_node\": %.1f, "
@@ -432,7 +433,8 @@ int main(int argc, char** argv) {
         "  \"obs_overhead\": {\"disabled_rounds_per_sec\": %.0f, "
         "\"enabled_rounds_per_sec\": %.0f, \"overhead_pct\": %.2f}",
         smoke ? "true" : "false", relay_last.baseline_ops,
-        relay_last.frame_ops, relay_last.speedup, tx.per_frame_ops,
+        relay_last.frame_ops, relay_last.speedup, relay_size_ratio,
+        tx.per_frame_ops,
         tx.vectored_ops, tx.speedup, rr.allocs_per_round_per_node,
         rr.rounds_per_sec, best_off.rounds_per_sec, best_on.rounds_per_sec,
         obs_overhead_pct);

@@ -48,13 +48,7 @@ Payload pack_batch(const std::vector<Request>& requests) {
   return make_payload(std::move(out));
 }
 
-bool scan_membership(
-    const Payload& payload,
-    const std::function<void(Request::Kind kind, NodeId subject)>& fn) {
-  if (!payload) return true;
-  const auto& bytes = *payload;
-  // Validate the whole structure before emitting anything, so a malformed
-  // batch is rejected atomically (same contract as unpack_batch).
+bool batch_well_formed(std::span<const std::uint8_t> bytes) {
   for (std::size_t at = 0; at < bytes.size();) {
     if (at + kRequestHeaderBytes > bytes.size() || bytes[at] > 2) return false;
     std::uint32_t len;
@@ -62,39 +56,30 @@ bool scan_membership(
     if (at + kRequestHeaderBytes + len > bytes.size()) return false;
     at += kRequestHeaderBytes + len;
   }
-  for (std::size_t at = 0; at < bytes.size();) {
-    const auto kind = static_cast<Request::Kind>(bytes[at]);
-    std::uint32_t subject, len;
-    std::memcpy(&subject, bytes.data() + at + 1, 4);
-    std::memcpy(&len, bytes.data() + at + 5, 4);
-    if (kind != Request::Kind::kData) fn(kind, subject);
-    at += kRequestHeaderBytes + len;
-  }
   return true;
+}
+
+bool scan_membership(
+    const Payload& payload,
+    const std::function<void(Request::Kind kind, NodeId subject)>& fn) {
+  return for_each_request(
+      payload, [&](Request::Kind kind, NodeId subject,
+                   std::span<const std::uint8_t>) {
+        if (kind != Request::Kind::kData) fn(kind, subject);
+      });
 }
 
 std::optional<std::vector<Request>> unpack_batch(const Payload& payload) {
   std::vector<Request> out;
-  if (!payload) return out;
-  const auto& bytes = *payload;
-  std::size_t at = 0;
-  while (at < bytes.size()) {
-    if (at + kRequestHeaderBytes > bytes.size()) return std::nullopt;
-    Request r;
-    if (bytes[at] > 2) return std::nullopt;
-    r.kind = static_cast<Request::Kind>(bytes[at]);
-    std::uint32_t subject, len;
-    std::memcpy(&subject, bytes.data() + at + 1, 4);
-    std::memcpy(&len, bytes.data() + at + 5, 4);
-    r.subject = subject;
-    if (at + kRequestHeaderBytes + len > bytes.size()) return std::nullopt;
-    r.data.assign(
-        bytes.begin() + static_cast<std::ptrdiff_t>(at + kRequestHeaderBytes),
-        bytes.begin() +
-            static_cast<std::ptrdiff_t>(at + kRequestHeaderBytes + len));
-    out.push_back(std::move(r));
-    at += kRequestHeaderBytes + len;
-  }
+  const bool ok = for_each_request(
+      payload, [&](Request::Kind kind, NodeId subject,
+                   std::span<const std::uint8_t> data) {
+        Request& r = out.emplace_back();
+        r.kind = kind;
+        r.subject = subject;
+        r.data.assign(data.begin(), data.end());
+      });
+  if (!ok) return std::nullopt;
   return out;
 }
 

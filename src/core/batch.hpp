@@ -9,8 +9,10 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -42,8 +44,35 @@ inline constexpr std::size_t kRequestHeaderBytes = 9;
 /// (the paper's "empty message").
 Payload pack_batch(const std::vector<Request>& requests);
 
-/// Parses a batch payload; nullopt on malformed bytes. A null payload is an
-/// empty batch.
+/// True iff `bytes` is a well-formed batch: every request header is whole,
+/// every kind is known, and every data length stays inside the bytes.
+bool batch_well_formed(std::span<const std::uint8_t> bytes);
+
+/// The one batch walker. Validates the whole batch first and then calls
+/// fn(kind, subject, data) for each request in order, where `data` views
+/// the request's bytes inside the payload (empty for joins and leaves;
+/// valid while the payload lives). Returns false, having called nothing, on
+/// malformed bytes: a batch is accepted or rejected atomically. A null
+/// payload is an empty batch.
+template <typename Fn>
+bool for_each_request(const Payload& payload, Fn&& fn) {
+  if (!payload) return true;
+  const std::span<const std::uint8_t> bytes(*payload);
+  if (!batch_well_formed(bytes)) return false;
+  for (std::size_t at = 0; at < bytes.size();) {
+    std::uint32_t subject, len;
+    std::memcpy(&subject, bytes.data() + at + 1, 4);
+    std::memcpy(&len, bytes.data() + at + 5, 4);
+    fn(static_cast<Request::Kind>(bytes[at]), NodeId{subject},
+       bytes.subspan(at + kRequestHeaderBytes, len));
+    at += kRequestHeaderBytes + len;
+  }
+  return true;
+}
+
+/// Parses a batch payload into owned requests; nullopt on malformed bytes.
+/// A null payload is an empty batch. Copies every request: hot paths walk
+/// the batch in place with for_each_request instead.
 std::optional<std::vector<Request>> unpack_batch(const Payload& payload);
 
 /// Walks only the membership-control entries (joins/leaves) of a batch,

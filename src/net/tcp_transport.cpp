@@ -124,6 +124,10 @@ TcpNode::TcpNode(TcpNodeOptions options, DeliverFn on_deliver)
         options_.fallback_timeout, options_.fallback_max_round_age);
     watchdog_->set_recorder(&recorder_);
   }
+  // Listening from construction on: a peer started first connects at its
+  // first attempt instead of sleeping out refused connects until this
+  // node's loop runs (the kernel queues the connection; run() accepts it).
+  setup_listener();
 }
 
 TcpNode::~TcpNode() {
@@ -166,11 +170,6 @@ void TcpNode::setup_listener() {
       "bind() failed (port in use?)");
   ALLCONCUR_ASSERT(::listen(listen_fd_, 64) == 0, "listen() failed");
   set_nonblocking(listen_fd_);
-
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = listen_fd_;
-  epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
 }
 
 void TcpNode::dial(NodeId peer) {
@@ -223,16 +222,17 @@ void TcpNode::dial_successors() {
   for (NodeId s : engine_->view().monitor_successors_of(options_.self)) {
     dial(s);
   }
-  connected_.store(true, std::memory_order_release);
+  {
+    const std::lock_guard<std::mutex> lock(connected_mutex_);
+    connected_ = true;
+  }
+  connected_cv_.notify_all();
 }
 
 bool TcpNode::wait_connected(DurationNs timeout) {
-  const TimeNs start = monotonic_now();
-  while (!connected_.load(std::memory_order_acquire)) {
-    if (monotonic_now() - start > timeout) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return true;
+  std::unique_lock<std::mutex> lock(connected_mutex_);
+  return connected_cv_.wait_for(lock, std::chrono::nanoseconds(timeout),
+                                [this] { return connected_; });
 }
 
 void TcpNode::run() {
@@ -258,7 +258,10 @@ void TcpNode::run() {
     epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, timer_fd_, &tev);
   }
 
-  setup_listener();
+  epoll_event lev{};
+  lev.events = EPOLLIN;
+  lev.data.fd = listen_fd_;
+  epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &lev);
   setup_admin_listener();
   dial_successors();
 

@@ -33,6 +33,7 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -141,6 +142,8 @@ class TcpNode {
  public:
   using DeliverFn = std::function<void(const core::RoundResult&)>;
 
+  /// Binds and listens on base_port + self: peers can connect as soon as
+  /// the node exists, before run() starts accepting.
   TcpNode(TcpNodeOptions options, DeliverFn on_deliver);
   ~TcpNode();
 
@@ -155,7 +158,8 @@ class TcpNode {
   void broadcast_now();
   void stop();
 
-  /// Blocks until connections to all successors are established.
+  /// Blocks until connections to all successors are established or
+  /// `timeout` passes; false on timeout.
   bool wait_connected(DurationNs timeout);
 
   NodeId self() const { return options_.self; }
@@ -324,7 +328,9 @@ class TcpNode {
   std::vector<Command> inbox_;    ///< guarded by cmd_mutex_
   std::vector<Command> drained_;  ///< loop-side swap partner, reused
   std::atomic<bool> stop_{false};
-  std::atomic<bool> connected_{false};
+  std::mutex connected_mutex_;
+  std::condition_variable connected_cv_;
+  bool connected_ = false;  ///< guarded by connected_mutex_
   std::atomic<std::uint64_t> completed_rounds_{0};
   std::atomic<std::uint64_t> pending_bytes_{0};
 };

@@ -6,7 +6,6 @@ namespace allconcur::smr {
 
 using wire::get_u32;
 using wire::get_u64;
-using wire::put_blob;
 using wire::put_u32;
 using wire::put_u64;
 
@@ -90,7 +89,8 @@ Bytes encode_command(const Command& cmd) {
   return out;
 }
 
-std::optional<Command> decode_command(std::span<const std::uint8_t> bytes) {
+std::optional<CommandView> decode_command_view(
+    std::span<const std::uint8_t> bytes) {
   if (bytes.size() < 14) return std::nullopt;
   const std::uint8_t op = bytes[0];
   if (op < 1 || op > 4) return std::nullopt;
@@ -105,27 +105,41 @@ std::optional<Command> decode_command(std::span<const std::uint8_t> bytes) {
   if (static_cast<std::uint64_t>(klen) + vlen + elen != bytes.size() - at) {
     return std::nullopt;
   }
-  Command cmd;
+  CommandView cmd;
   cmd.op = static_cast<Command::Op>(op);
   cmd.expect_absent = flags == 1;
-  const auto take = [&](std::uint32_t len, Bytes& out) {
-    out.assign(bytes.begin() + static_cast<std::ptrdiff_t>(at),
-               bytes.begin() + static_cast<std::ptrdiff_t>(at + len));
-    at += len;
-  };
-  take(klen, cmd.key);
-  take(vlen, cmd.value);
-  take(elen, cmd.expected);
+  cmd.key = bytes.subspan(at, klen);
+  cmd.value = bytes.subspan(at + klen, vlen);
+  cmd.expected = bytes.subspan(at + klen + vlen, elen);
+  return cmd;
+}
+
+std::optional<Command> decode_command(std::span<const std::uint8_t> bytes) {
+  const auto view = decode_command_view(bytes);
+  if (!view) return std::nullopt;
+  Command cmd;
+  cmd.op = view->op;
+  cmd.expect_absent = view->expect_absent;
+  cmd.key.assign(view->key.begin(), view->key.end());
+  cmd.value.assign(view->value.begin(), view->value.end());
+  cmd.expected.assign(view->expected.begin(), view->expected.end());
   return cmd;
 }
 
 // Response layout: [u8 status][u8 has_value][u32 len][value bytes].
+void encode_response_into(Bytes& out, KvResponse::Status status,
+                          bool has_value,
+                          std::span<const std::uint8_t> value) {
+  out.resize(6 + value.size());
+  out[0] = static_cast<std::uint8_t>(status);
+  out[1] = has_value ? 1 : 0;
+  wire::Writer w(out.data() + 2);
+  w.blob(value);
+}
+
 Bytes encode_response(const KvResponse& r) {
   Bytes out;
-  out.reserve(6 + r.value.size());
-  out.push_back(static_cast<std::uint8_t>(r.status));
-  out.push_back(r.has_value ? 1 : 0);
-  put_blob(out, r.value);
+  encode_response_into(out, r.status, r.has_value, r.value);
   return out;
 }
 

@@ -84,7 +84,22 @@ struct Command {
   static Command cas_absent(Bytes key, Bytes value);
 };
 
+/// A decoded command whose key, value and expected bytes are views into
+/// the bytes it was decoded from: what a replica applies, so an agreed
+/// command is never copied to be executed.
+struct CommandView {
+  Command::Op op = Command::Op::kGet;
+  std::span<const std::uint8_t> key;
+  std::span<const std::uint8_t> value;
+  std::span<const std::uint8_t> expected;
+  bool expect_absent = false;
+};
+
 Bytes encode_command(const Command& cmd);
+/// nullopt unless `bytes` is a well-formed command. The spans alias `bytes`.
+std::optional<CommandView> decode_command_view(
+    std::span<const std::uint8_t> bytes);
+/// decode_command_view with owned copies of the fields (clients, tests).
 std::optional<Command> decode_command(std::span<const std::uint8_t> bytes);
 
 // ---------------------------------------------------------------------------
@@ -107,6 +122,11 @@ struct KvResponse {
 };
 
 Bytes encode_response(const KvResponse& r);
+/// Writes the encoding of a response into `out`, replacing its contents
+/// and reusing its capacity: a replica encodes straight into the session's
+/// cached-response buffer.
+void encode_response_into(Bytes& out, KvResponse::Status status,
+                          bool has_value, std::span<const std::uint8_t> value);
 std::optional<KvResponse> decode_response(std::span<const std::uint8_t> bytes);
 
 }  // namespace allconcur::smr

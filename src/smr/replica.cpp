@@ -8,8 +8,6 @@ namespace allconcur::smr {
 
 using wire::get_u32;
 using wire::get_u64;
-using wire::put_u32;
-using wire::put_u64;
 
 namespace {
 
@@ -34,22 +32,26 @@ void Replica::on_round(const core::RoundResult& result) {
                    "delivery from a pipelined engine is a protocol bug)");
   // RoundResult::deliveries is sorted by origin id — the canonical,
   // replica-independent order. Within one delivery, batch order is the
-  // origin's submission order, identical everywhere by agreement.
+  // origin's submission order, identical everywhere by agreement. Each
+  // batch is walked in place and each command applied as a view into the
+  // agreed payload; the response lands in the session's cached-response
+  // buffer. A size-only, foreign or malformed payload applies nothing.
   for (const core::Delivery& delivery : result.deliveries) {
-    const auto batch = core::unpack_batch(delivery.payload);
-    if (!batch) continue;  // size-only / foreign payload: not ours
-    for (const core::Request& request : *batch) {
-      if (request.kind != core::Request::Kind::kData) continue;
-      const auto env = decode_envelope(request.data);
-      if (!env) continue;  // non-SMR data sharing the stream
-      if (sessions_.is_duplicate(env->session, env->seq)) {
-        ++duplicates_;
-        continue;
-      }
-      auto response = machine_->apply(env->command);
-      sessions_.record(env->session, env->seq, std::move(response));
-      ++applied_;
-    }
+    core::for_each_request(
+        delivery.payload, [this](core::Request::Kind kind, NodeId,
+                                 std::span<const std::uint8_t> data) {
+          if (kind != core::Request::Kind::kData) return;
+          const auto env = decode_envelope(data);
+          if (!env) return;  // non-SMR data sharing the stream
+          std::vector<std::uint8_t>* response =
+              sessions_.admit(env->session, env->seq);
+          if (response == nullptr) {
+            ++duplicates_;
+            return;
+          }
+          machine_->apply(env->command, *response);
+          ++applied_;
+        });
   }
   ++next_round_;
 }
@@ -59,13 +61,15 @@ std::uint64_t Replica::state_hash() const {
 }
 
 std::vector<std::uint8_t> Replica::snapshot() const {
-  std::vector<std::uint8_t> out;
-  put_u32(out, kSnapshotMagic);
-  put_u64(out, next_round_);
-  put_u64(out, applied_);
-  put_u64(out, duplicates_);
-  sessions_.encode_into(out);
   const auto machine = machine_->snapshot();
+  std::vector<std::uint8_t> out(28);
+  wire::Writer w(out.data());
+  w.u32(kSnapshotMagic);
+  w.u64(next_round_);
+  w.u64(applied_);
+  w.u64(duplicates_);
+  out.reserve(out.size() + sessions_.encoded_size() + machine.size());
+  sessions_.encode_into(out);
   out.insert(out.end(), machine.begin(), machine.end());
   return out;
 }

@@ -9,6 +9,11 @@
 // fresh commands to the machine. Non-SMR payloads in the same stream
 // (opaque bench traffic, membership control) are ignored.
 //
+// Applying copies nothing: each batch is walked in place, envelopes and
+// commands are views into the agreed payload, and the machine writes its
+// response straight into the session's cached-response buffer, whose
+// capacity carries over from the session's earlier commands.
+//
 // Snapshots capture machine state + session table + stream position, so a
 // fresh or lagging replica restores and resumes from round `next_round()`
 // instead of replaying from round 0 — exactly-once semantics included

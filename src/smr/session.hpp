@@ -11,10 +11,17 @@
 // The table itself is replicated state: it is driven purely by the agreed
 // command stream, so all replicas hold identical tables, and it rides
 // inside Replica snapshots so exactly-once survives snapshot/restore.
+//
+// Entries live in a flat vector in first-seen order (the order in which
+// each session's first command was applied), with an open-addressing hash
+// index from session id to entry; sessions are never removed, so the index
+// needs no deletion. First-seen order is a function of the agreed history,
+// so it is the same on every replica, and snapshots are written in it.
+// decode_from takes entries in any order: snapshots written before the
+// table was flat list sessions by ascending id.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <span>
 #include <vector>
@@ -30,13 +37,22 @@ namespace allconcur::smr {
 class SessionTable {
  public:
   struct Entry {
-    std::uint64_t last_seq = 0;      ///< highest applied seq for the session
+    std::uint64_t session = 0;           ///< client session id
+    std::uint64_t last_seq = 0;          ///< highest applied seq
     std::vector<std::uint8_t> response;  ///< response of that command
   };
 
   /// True iff (session, seq) was already applied: seq ≤ the session's
   /// last applied sequence number.
   bool is_duplicate(std::uint64_t session, std::uint64_t seq) const;
+
+  /// The apply path's single lookup. Returns nullptr (recording nothing)
+  /// when (session, seq) is a duplicate; otherwise records seq as the
+  /// session's latest and returns its cached-response buffer, which the
+  /// caller overwrites with the command's response. The buffer keeps its
+  /// capacity from earlier commands. The pointer is valid until the next
+  /// call that adds a session.
+  std::vector<std::uint8_t>* admit(std::uint64_t session, std::uint64_t seq);
 
   /// Records a freshly applied command and caches its response.
   /// Pre: !is_duplicate(session, seq).
@@ -50,15 +66,36 @@ class SessionTable {
                                                     std::uint64_t seq) const;
 
   const Entry* find(std::uint64_t session) const;
-  std::size_t size() const { return sessions_.size(); }
+  std::size_t size() const { return entries_.size(); }
 
-  /// Deterministic serialization (ordered by session id), appended to
-  /// `out`; decode consumes from `bytes` at `at`.
+  /// Deterministic serialization in first-seen order, appended to `out`;
+  /// decode consumes from `bytes` at `at` and rejects a session id that
+  /// appears twice.
+  std::size_t encoded_size() const;
   void encode_into(std::vector<std::uint8_t>& out) const;
   bool decode_from(std::span<const std::uint8_t> bytes, std::size_t& at);
 
  private:
-  std::map<std::uint64_t, Entry> sessions_;
+  /// One index slot: a session id and its entry's position plus one
+  /// (0 marks an empty slot, so every id, 0 included, is a valid key).
+  struct Slot {
+    std::uint64_t session = 0;
+    std::uint32_t entry = 0;
+  };
+
+  static constexpr std::size_t kMinSlots = 16;
+
+  /// Position of the slot holding `session`, or of the empty slot where
+  /// it would go.
+  std::size_t probe(std::uint64_t session) const;
+  /// Appends an entry for an absent session whose empty slot is `slot`.
+  Entry& add(std::uint64_t session, std::size_t slot);
+  /// Re-sizes the index to at least `slots` (a power of two) and refills it.
+  void rebuild_index(std::size_t slots);
+
+  std::vector<Entry> entries_;
+  /// Linear probing over a power-of-two size, at most half full.
+  std::vector<Slot> index_ = std::vector<Slot>(kMinSlots);
 };
 
 // ---------------------------------------------------------------------------

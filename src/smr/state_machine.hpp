@@ -20,12 +20,19 @@ class StateMachine {
   virtual ~StateMachine() = default;
 
   /// Applies one command (already deduplicated and ordered by the caller)
-  /// and returns the encoded response. Must be deterministic: identical
-  /// command sequences yield identical states and responses everywhere.
-  /// Malformed commands must be handled deterministically too (e.g. an
-  /// error response), never by aborting — the bytes were agreed on.
-  virtual std::vector<std::uint8_t> apply(
-      std::span<const std::uint8_t> command) = 0;
+  /// and writes its encoded response into `response`, replacing whatever
+  /// the buffer held. The caller hands in a buffer it reuses across
+  /// commands (Replica passes the session's cached-response slot), so an
+  /// implementation should overwrite it in place — resize, then write —
+  /// rather than build and move in a fresh vector; that keeps a steady-state
+  /// apply free of allocations. `command` views the agreed payload and is
+  /// valid only for the duration of the call: copy what must outlive it.
+  /// Must be deterministic: identical command sequences yield identical
+  /// states and responses everywhere. Malformed commands must be handled
+  /// deterministically too (e.g. an error response), never by aborting —
+  /// the bytes were agreed on.
+  virtual void apply(std::span<const std::uint8_t> command,
+                     std::vector<std::uint8_t>& response) = 0;
 
   /// Serializes the complete state. Must be deterministic: two replicas
   /// with equal state produce byte-identical snapshots.

@@ -11,6 +11,8 @@
 #include "core/engine.hpp"
 #include "core/message.hpp"
 #include "graph/digraph.hpp"
+#include "smr/kv_store.hpp"
+#include "smr/replica.hpp"
 
 #include "test_env.hpp"
 
@@ -158,6 +160,95 @@ TEST(Fuzz, BatchParserSurvivesRandomBytes) {
     const auto batch = unpack_batch(make_payload(std::move(bytes)));
     (void)batch;  // nullopt or parsed; never a crash
   }
+}
+
+// The in-place batch walker against the owning parser, over random bytes
+// and over mutations of valid batches of SMR envelopes: both accept or
+// reject each input alike, the walker visits nothing when it rejects and
+// exactly unpack_batch's requests when it accepts, and a Replica fed the
+// input applies the fresh envelopes unpack_batch finds, none when the
+// batch is malformed.
+TEST(Fuzz, BatchWalkerAgreesWithUnpackOnCorpus) {
+  Rng rng(testing::test_seed_offset() + 0xba7c);
+  std::size_t rejected = 0, accepted = 0, applied = 0;
+  for (int iter = 0; iter < 20000; ++iter) {
+    std::vector<std::uint8_t> bytes;
+    if (iter % 2 == 0) {
+      bytes.resize(rng.next_below(64));
+      for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next_u64());
+    } else {
+      std::vector<Request> requests;
+      const std::size_t n = 1 + rng.next_below(4);
+      for (std::size_t k = 0; k < n; ++k) {
+        if (rng.next_below(5) == 0) {
+          requests.push_back(Request::leave(static_cast<NodeId>(k)));
+          continue;
+        }
+        smr::KvSession session(1 + rng.next_below(3));
+        for (std::uint64_t s = rng.next_below(3); s > 0; --s) {
+          (void)session.issue(smr::Command::get(smr::to_bytes("k")));
+        }
+        requests.push_back(Request::of_data(session.issue(smr::Command::put(
+            smr::to_bytes("k"), smr::Bytes(rng.next_below(8), 0x61)))));
+      }
+      bytes = *pack_batch(requests);
+      switch (rng.next_below(4)) {
+        case 0:  // truncate anywhere
+          bytes.resize(rng.next_below(bytes.size()));
+          break;
+        case 1:  // flip one byte (kind, subject, length or data)
+          bytes[rng.next_below(bytes.size())] ^=
+              static_cast<std::uint8_t>(1 + rng.next_below(255));
+          break;
+        case 2:  // trailing garbage
+          bytes.push_back(static_cast<std::uint8_t>(rng.next_u64()));
+          break;
+        default:  // intact
+          break;
+      }
+    }
+    const Payload payload = make_payload(std::move(bytes));
+    const auto reference = unpack_batch(payload);
+    std::vector<Request> walked;
+    const bool ok = for_each_request(
+        payload, [&](Request::Kind kind, NodeId subject,
+                     std::span<const std::uint8_t> data) {
+          Request& r = walked.emplace_back();
+          r.kind = kind;
+          r.subject = subject;
+          r.data.assign(data.begin(), data.end());
+        });
+    ASSERT_EQ(ok, reference.has_value()) << "iter " << iter;
+    std::uint64_t fresh = 0;
+    if (!ok) {
+      ++rejected;
+      EXPECT_TRUE(walked.empty()) << "iter " << iter;
+    } else {
+      ++accepted;
+      ASSERT_EQ(walked.size(), reference->size()) << "iter " << iter;
+      smr::SessionTable seen;
+      for (std::size_t k = 0; k < walked.size(); ++k) {
+        EXPECT_EQ(walked[k].kind, (*reference)[k].kind);
+        EXPECT_EQ(walked[k].subject, (*reference)[k].subject);
+        EXPECT_EQ(walked[k].data, (*reference)[k].data);
+        if (walked[k].kind != Request::Kind::kData) continue;
+        const auto env = smr::decode_envelope(walked[k].data);
+        if (env && seen.admit(env->session, env->seq) != nullptr) ++fresh;
+      }
+    }
+    RoundResult round;
+    Delivery d;
+    d.payload = payload;
+    round.deliveries.push_back(d);
+    smr::Replica replica(std::make_unique<smr::KvStore>());
+    replica.on_round(round);
+    EXPECT_EQ(replica.commands_applied(), fresh) << "iter " << iter;
+    applied += fresh;
+  }
+  // Both sides of the contract were exercised.
+  EXPECT_GT(rejected, 1000u);
+  EXPECT_GT(accepted, 1000u);
+  EXPECT_GT(applied, 1000u);
 }
 
 TEST(Fuzz, EngineSurvivesHostileMessageStream) {

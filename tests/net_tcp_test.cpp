@@ -42,6 +42,29 @@ TEST(TcpCluster, SingleRoundDeliversEverywhere) {
   }
 }
 
+TEST(TcpCluster, ConstructedNodeAlreadyAcceptsConnections) {
+  // A node listens from construction on, before run(): a peer whose loop
+  // starts first connects at its first attempt instead of sleeping out
+  // refused connects until this node's loop comes up.
+  const std::uint16_t base = pick_free_port_base(2, testing::test_seed());
+  TcpNodeOptions opt;
+  opt.self = 0;
+  opt.members = {0, 1};
+  opt.base_port = base;
+  TcpNode node(opt, nullptr);
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(base);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0)
+      << std::strerror(errno);
+  ::close(fd);
+}
+
 TEST(TcpCluster, PayloadSurvivesTheWire) {
   TcpCluster c(5);
   const std::vector<std::uint8_t> blob{0xca, 0xfe, 0xba, 0xbe, 0x00, 0x42};

@@ -343,8 +343,10 @@ TEST(FlightDump, ForcedSmrDivergenceDumpsEveryReplicaWithTheRound) {
 
   // Corrupt replica 2 out-of-band: an extra command applied directly to
   // its state machine forks its history from the agreed stream.
+  smr::Bytes rogue_response;
   c.replica(2).machine().apply(
-      smr::encode_command(smr::Command::put(smr::to_bytes("rogue"), smr::to_bytes("w"))));
+      smr::encode_command(smr::Command::put(smr::to_bytes("rogue"), smr::to_bytes("w"))),
+      rogue_response);
 
   // The next agreed round lands replica 2 on a different hash than the
   // reference -> the divergence guard trips, dumps, and (because
