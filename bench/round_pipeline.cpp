@@ -10,7 +10,8 @@
 // that serializes a stop-and-wait deployment) no longer gates throughput.
 //
 //   * sim fabric — deterministic virtual time, TCP-over-IB LogP model,
-//     one server's traffic delayed by --skew-us (the induced skew). The
+//     one server's traffic delayed by --skew-us (the induced skew: a
+//     chaos::Scenario gray phase on that server). The
 //     ≥ 1.5x W=4 vs W=1 rounds/s claim and the p99-no-worse-without-skew
 //     claim are asserted here (virtual time makes them machine-stable).
 //   * TCP localhost — real sockets, epoll event loops, wall-clock paced
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "chaos/scenario.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "net/ports.hpp"
@@ -39,6 +41,14 @@ namespace {
 // ---------------------------------------------------------------------------
 // Simulated fabric: paced producers on every node, one skewed sender.
 // ---------------------------------------------------------------------------
+
+/// Induced skew: every frame node 1 sends is held back by `skew` (a
+/// drop-free gray phase adds exactly the slowdown and draws no randomness).
+chaos::ScenarioEngineRef skew_node1(DurationNs skew) {
+  if (skew <= 0) return nullptr;
+  return std::make_shared<chaos::ScenarioEngine>(
+      chaos::Scenario(/*seed=*/1).gray(0, kTimeNever, 1, skew));
+}
 
 struct SimPoint {
   std::size_t window = 1;
@@ -69,8 +79,8 @@ SimPoint run_sim(std::size_t n, std::size_t window, DurationNs skew,
   opt.window = window;
   opt.fabric = sim::FabricParams::tcp_ib();
   opt.flight_recorder = flight_recorder;
+  opt.chaos = skew_node1(skew);
   api::SimCluster cluster(opt);
-  if (skew > 0) cluster.set_send_delay(1, skew);
 
   // Warmup cut: latency samples only after the pipeline filled.
   const Round warmup = 2 * window + 4;
@@ -139,10 +149,10 @@ TcpPoint run_tcp(std::size_t n, std::size_t window, DurationNs pace,
     opt.members = members;
     opt.base_port = base_port;
     opt.window = window;
-    // netem-style induced skew on one real socket sender — the TCP
-    // mirror of SimCluster::set_send_delay, so the convoy claim is
-    // testable on actual sockets instead of scheduler noise.
-    if (skew > 0 && i == 1) opt.send_delay = skew;
+    // netem-style induced skew on one real socket sender — the same gray
+    // phase as the sim runs, so the convoy claim is testable on actual
+    // sockets instead of scheduler noise.
+    if (i == 1) opt.chaos = skew_node1(skew);
     nodes.push_back(std::make_unique<net::TcpNode>(
         opt, [](const core::RoundResult&) {}));
   }
@@ -309,17 +319,17 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(p.rounds));
   }
 
-  // Real induced skew: one node's sends held back by the netem-style
-  // TcpNodeOptions::send_delay knob. The convoy is now physical (bytes
+  // Real induced skew: one node's sends held back by a chaos gray phase on
+  // node 1 (TcpNodeOptions::chaos). The convoy is now physical (bytes
   // really arrive late), so the W=4-hides-the-slow-sender claim is
   // asserted on actual sockets too — with a generous margin, since the
   // measurement is still wall clock.
   const DurationNs tcp_skew = us(flags.get_int("tcp-skew-us", 3000));
   bench::print_title("Round pipelining (TCP localhost, induced skew)");
-  bench::print_note("node 1 send_delay = " +
+  bench::print_note("node 1 gray slowdown = " +
                     std::to_string(tcp_skew / 1000) +
-                    "us (TcpNodeOptions::send_delay); W=4 >= 1.2x W=1 "
-                    "asserted");
+                    "us (chaos gray phase on node 1); W=4 >= 1.2x W=1 "
+                    "and W=1 <= 0.5x the unskewed W=1 asserted");
   std::vector<TcpPoint> tcp_skewed;
   bench::row("%6s %16s %10s", "W", "rounds/s", "rounds");
   for (const std::size_t w : {std::size_t{1}, std::size_t{4}}) {
@@ -335,6 +345,15 @@ int main(int argc, char** argv) {
           : 0.0;
   bench::print_note("skewed TCP W=4 vs W=1 rounds/s: " +
                     std::to_string(tcp_skew_speedup) + "x");
+  // The convoy gate only means something if node 1 really was slow: the
+  // unskewed run's W=1 rate already gains ~1.2-1.3x from a window, so the
+  // skewed W=1 rate must also fall well below the unskewed one.
+  const double tcp_w1_skew_ratio =
+      tcp_points[0].rounds_per_sec > 0
+          ? tcp_skewed[0].rounds_per_sec / tcp_points[0].rounds_per_sec
+          : 0.0;
+  bench::print_note("TCP W=1 rounds/s, skewed vs unskewed: " +
+                    std::to_string(tcp_w1_skew_ratio) + "x");
 
   const std::string json_path = flags.get("json", "");
   if (!json_path.empty()) {
@@ -417,6 +436,14 @@ int main(int argc, char** argv) {
                  "(< 1.2x): the window no longer hides a physically slow "
                  "sender\n",
                  tcp_skew_speedup);
+    rc = 1;
+  }
+  if (tcp_w1_skew_ratio > 0.5) {
+    std::fprintf(stderr,
+                 "FAIL: real-socket W=1 rounds/s with node 1 slowed is "
+                 "%.2fx the unskewed rate (> 0.5x): the induced skew had "
+                 "no effect, so the convoy gate above proves nothing\n",
+                 tcp_w1_skew_ratio);
     rc = 1;
   }
   const SimPoint* clean_w1 = find_w(sim_clean, 1);

@@ -20,7 +20,6 @@ using core::View;
 SimCluster::SimCluster(ClusterOptions options)
     : options_(std::move(options)),
       model_(options_.fabric, options_.n + options_.max_joins),
-      send_delay_(options_.n + options_.max_joins, 0),
       next_join_id_(static_cast<NodeId>(options_.n)),
       round_latency_(&metrics_.histogram(
           "sim_round_latency_ns",
@@ -31,9 +30,9 @@ SimCluster::SimCluster(ClusterOptions options)
           "relay_hop_latency_ns",
           "Per-hop relay latency: one frame's modeled one-way time from "
           "the sender's send to the receiving engine (LogP sender "
-          "overhead + wire + receiver overhead, plus induced skew and "
-          "chaos delay). Live regardless of trace sampling; also the "
-          "per-hop estimate sampled frames accumulate",
+          "overhead + wire + receiver overhead, plus chaos delay). Live "
+          "regardless of trace sampling; also the per-hop estimate sampled "
+          "frames accumulate",
           obs::Unit::kNanoseconds)) {
   ALLCONCUR_ASSERT(options_.n >= 1, "cluster needs at least one node");
   ALLCONCUR_ASSERT(options_.window >= 1, "window must be at least 1");
@@ -54,10 +53,6 @@ SimCluster::SimCluster(ClusterOptions options)
     // The scenario timeline runs on virtual time; pin its epoch to t = 0
     // so test scenarios can name absolute sim times.
     options_.chaos->set_epoch(sim_.now());
-    model_.set_fault_hook([chaos = options_.chaos](NodeId src, NodeId dst,
-                                                   TimeNs now) {
-      return chaos->on_frame(src, dst, now);
-    });
   }
 
   std::vector<NodeId> members(options_.n);
@@ -229,10 +224,11 @@ void SimCluster::handle_send(NodeId src, NodeId dst, const FrameRef& frame) {
     if (!sender.send_limited || sender.sends_left == 0) return;
     --sender.sends_left;
   }
-  if (link_filter_ && link_filter_(src, dst)) return;  // partitioned link
   // Chaos verdict: drawn once per frame on the send path, exactly where
-  // the TCP transport's interposition draws it.
-  const chaos::Action act = model_.shape(src, dst, sim_.now());
+  // TcpNode::queue_frame draws it.
+  const chaos::Action act = options_.chaos
+                                ? options_.chaos->on_frame(src, dst, sim_.now())
+                                : chaos::Action{};
   if (act.drop) return;
   const Message& msg = frame->msg();
   // Record the instant a node A-broadcasts its own message (used by the
@@ -246,8 +242,8 @@ void SimCluster::handle_send(NodeId src, NodeId dst, const FrameRef& frame) {
   // refcounted handle travels through the event queue.
   const TimeNs done =
       model_.sender_done(src, dst, frame->wire_size(), sim_.now());
-  // Induced per-node skew and chaos jitter: the frame arrives late.
-  const TimeNs arrive = model_.arrival(done) + send_delay_[src] + act.delay;
+  // Chaos delay (gray slowdown, reorder jitter): the frame arrives late.
+  const TimeNs arrive = model_.arrival(done) + act.delay;
   if (sender.tracer && msg.trace_sampled() &&
       (msg.type == MsgType::kBroadcast || msg.type == MsgType::kUBcast)) {
     // Sampled frame leaving this node: the enqueue span now, the send
@@ -449,33 +445,6 @@ void SimCluster::crash_after_sends(NodeId id, TimeNs when,
       }
     });
   });
-}
-
-void SimCluster::set_send_delay(NodeId id, DurationNs extra) {
-  ALLCONCUR_ASSERT(id < send_delay_.size(), "node id beyond reserved slots");
-  ALLCONCUR_ASSERT(extra >= 0, "send delay must be non-negative");
-  send_delay_[id] = extra;
-}
-
-void SimCluster::set_link_filter(
-    std::function<bool(NodeId, NodeId)> drop) {
-  link_filter_ = std::move(drop);
-}
-
-void SimCluster::partition_at(std::vector<NodeId> group, TimeNs when,
-                              TimeNs heal_at) {
-  sim_.schedule_at(when, [this, group = std::move(group)] {
-    set_link_filter([group](NodeId src, NodeId dst) {
-      const bool src_in =
-          std::find(group.begin(), group.end(), src) != group.end();
-      const bool dst_in =
-          std::find(group.begin(), group.end(), dst) != group.end();
-      return src_in != dst_in;
-    });
-  });
-  if (heal_at != kTimeNever) {
-    sim_.schedule_at(heal_at, [this] { set_link_filter(nullptr); });
-  }
 }
 
 NodeId SimCluster::schedule_join(TimeNs when, NodeId sponsor) {

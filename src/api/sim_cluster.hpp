@@ -57,11 +57,14 @@ struct ClusterOptions {
   core::HeartbeatFd::Params fd_params;
   DurationNs detection_delay = ms(100);
 
-  /// Adversarial fault injection: a seeded chaos::ScenarioEngine consulted
-  /// once per frame on the send path (through the fabric's fault hook).
-  /// Dropped frames vanish, duplicates arrive twice, corrupted frames
-  /// travel as damaged wire bytes (the frame checksum must catch them),
-  /// and delays add to the fabric's arrival time. Null = no injection.
+  /// Fault injection: a seeded chaos::ScenarioEngine consulted once per
+  /// frame on the send path. Dropped frames vanish, duplicates arrive
+  /// twice, corrupted frames travel as damaged wire bytes (the frame
+  /// checksum must catch them), and delays add to the fabric's arrival
+  /// time. The engine's epoch is pinned to t = 0 of the virtual clock, so
+  /// phases name absolute sim times: Scenario::partition models a network
+  /// partition (§3.3.1: edges removed, not vertices), Scenario::gray a
+  /// slow server. Null = no injection.
   chaos::ScenarioEngineRef chaos;
 
   /// Dual mode: caps how long per-frame progress can re-arm the round
@@ -140,28 +143,11 @@ class SimCluster {
   /// (returned immediately); the node activates once the join commits.
   NodeId schedule_join(TimeNs when, NodeId sponsor);
 
-  /// Induced per-node skew: every message sent by `id` (protocol and
-  /// heartbeats alike) arrives `extra` later than the fabric model says —
-  /// a slow or distant server. 0 clears. This is the knob the round-
-  /// pipelining bench uses to create the convoy effect a window hides.
-  void set_send_delay(NodeId id, DurationNs extra);
-
   /// Dual mode: forces a spurious fallback at `id` for its oldest open
   /// round at the current simulation time (what the round watchdog would
   /// do on a timeout). Safe by design with no real failure — the property
   /// suite and the dual-digraph bench use it to measure fallback cost.
   void force_fallback(NodeId id);
-
-  /// Link-level fault injection (§3.3.1: partitions remove edges, not
-  /// vertices): messages for which `drop(src, dst)` returns true are lost.
-  /// Pass nullptr to heal. With the heartbeat FD enabled, suspicions arise
-  /// naturally from the silence — no oracle involved.
-  void set_link_filter(std::function<bool(NodeId, NodeId)> drop);
-
-  /// Convenience: fully separates `group` from everyone else at `when`,
-  /// healing at `heal_at` (kTimeNever = never).
-  void partition_at(std::vector<NodeId> group, TimeNs when,
-                    TimeNs heal_at = kTimeNever);
 
   // ---- Running ----
   void run_for(DurationNs d) { sim_.run_until(sim_.now() + d); }
@@ -233,8 +219,6 @@ class SimCluster {
     std::unique_ptr<obs::TraceBuffer> tracer;
   };
 
-  std::function<bool(NodeId, NodeId)> link_filter_;
-
   void create_node(NodeId id, core::View view, Round start_round);
   void reinject_oracle_suspicions(NodeId id);
   void activate_node(NodeId id);
@@ -258,7 +242,6 @@ class SimCluster {
   sim::Simulator sim_;
   sim::NetworkModel model_;
   std::vector<std::unique_ptr<Node>> nodes_;  // indexed by NodeId
-  std::vector<DurationNs> send_delay_;        // induced skew, by NodeId
   NodeId next_join_id_;
   std::uint64_t chaos_corrupt_dropped_ = 0;
   std::uint64_t chaos_corrupt_delivered_ = 0;

@@ -6,11 +6,12 @@
 // timeline of fault phases — partitions/heals, asymmetric and flapping
 // links, probabilistic reorder/duplication/corruption, and gray failures
 // (slow-but-alive) — and chaos::ScenarioEngine turns it into one verdict
-// per outbound frame. The same engine drives both deployments: the sim
-// fabric consults it through sim::NetworkModel's fault hook, and
-// net::TcpNode interposes it on the send path (extending the send_delay
-// netem knob), so a committed seed replays the identical fault schedule
-// on virtual time and on real sockets alike.
+// per outbound frame. It is the one fault-injection mechanism of both
+// deployments: api::SimCluster::handle_send and net::TcpNode::queue_frame
+// each draw one verdict per frame on the send path, so a committed seed
+// replays the identical fault schedule on virtual time and on real
+// sockets alike. A gray phase with drop 0 draws no randomness and adds
+// exactly its slowdown: that is how a deployment models one slow server.
 //
 // Determinism: every probabilistic decision is drawn from a per-link
 // stream keyed on (seed, src, dst) and advanced exactly once per frame,

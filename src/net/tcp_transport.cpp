@@ -274,7 +274,7 @@ void TcpNode::run() {
     // nothing queued behind the last wake's swap waits for a timeout.
     drain_commands();
     int wait_ms = 50;
-    if (options_.send_delay > 0 || options_.chaos) {
+    if (options_.chaos) {
       wait_ms = std::min(wait_ms, release_delayed(loop_now_));
     }
     if (options_.chaos && recorder_.enabled()) {
@@ -482,42 +482,40 @@ void TcpNode::parse_frames(Conn& conn) {
 }
 
 void TcpNode::queue_frame(NodeId dst, const core::FrameRef& frame) {
-  core::FrameRef out = frame;
-  DurationNs extra = options_.send_delay;
-  bool duplicate = false;
-  if (options_.chaos) {
-    // Chaos interposition: same verdict point as the sim fabric's fault
-    // hook — one Action per outbound frame, drawn before any queueing.
-    const chaos::Action act =
-        options_.chaos->on_frame(options_.self, dst, monotonic_now());
-    if (act.drop || act.duplicate || act.corrupt || act.delay > 0) {
-      const std::uint64_t bits = (act.drop ? 1u : 0u) |
-                                 (act.duplicate ? 2u : 0u) |
-                                 (act.corrupt ? 4u : 0u) |
-                                 (act.delay > 0 ? 8u : 0u);
-      recorder_.record(obs::EventKind::kChaosInject, engine_->current_round(),
-                       dst, bits);
-    }
-    if (act.drop) return;
-    if (act.corrupt) out = core::Frame::corrupt_copy(*frame, act.corrupt_at);
-    duplicate = act.duplicate;
-    extra += act.delay;
+  if (!options_.chaos) {
+    queue_frame_now(dst, frame);
+    return;
   }
-  if (extra > 0) {
+  // Chaos interposition: same verdict point as SimCluster::handle_send —
+  // one Action per outbound frame, drawn before any queueing.
+  const chaos::Action act =
+      options_.chaos->on_frame(options_.self, dst, monotonic_now());
+  if (act.drop || act.duplicate || act.corrupt || act.delay > 0) {
+    const std::uint64_t bits = (act.drop ? 1u : 0u) |
+                               (act.duplicate ? 2u : 0u) |
+                               (act.corrupt ? 4u : 0u) |
+                               (act.delay > 0 ? 8u : 0u);
+    recorder_.record(obs::EventKind::kChaosInject, engine_->current_round(),
+                     dst, bits);
+  }
+  if (act.drop) return;
+  const core::FrameRef out =
+      act.corrupt ? core::Frame::corrupt_copy(*frame, act.corrupt_at) : frame;
+  if (act.delay > 0) {
     // netem-style skew: park until now + delay; the event loop releases
     // due frames each wake.
-    const TimeNs when = monotonic_now() + extra;
+    const TimeNs when = monotonic_now() + act.delay;
     park_delayed(when, dst, out);
-    if (duplicate) park_delayed(when, dst, out);
+    if (act.duplicate) park_delayed(when, dst, out);
     return;
   }
   queue_frame_now(dst, out);
-  if (duplicate) queue_frame_now(dst, out);
+  if (act.duplicate) queue_frame_now(dst, out);
 }
 
 void TcpNode::park_delayed(TimeNs when, NodeId dst, core::FrameRef frame) {
-  // Sorted insert from the back: constant send_delay keeps this O(1); only
-  // chaos jitter pays a short walk.
+  // Sorted insert from the back: a constant gray slowdown keeps this O(1);
+  // only reorder jitter pays a short walk.
   auto it = delayed_.end();
   while (it != delayed_.begin() && std::get<0>(*std::prev(it)) > when) --it;
   delayed_.insert(it, std::make_tuple(when, dst, std::move(frame)));

@@ -70,19 +70,14 @@ struct TcpNodeOptions {
   /// Dual mode round watchdog: an armed round stuck longer than this on
   /// the monotonic clock triggers the fallback transition. 0 disables.
   DurationNs fallback_timeout = 0;
-  /// netem-style induced skew, mirroring SimCluster::set_send_delay:
-  /// every outbound frame of this node (protocol and heartbeats alike)
-  /// is held back this long before it is flushed to the socket. Lets the
-  /// real-socket legs of bench/round_pipeline and bench/dual_digraph
-  /// reproduce the convoy/fallback claims on actual TCP instead of
-  /// relying on scheduler noise. 0 = no delay.
-  DurationNs send_delay = 0;
-  /// Adversarial fault injection extending the send_delay knob: a seeded
-  /// chaos::ScenarioEngine consulted once per outbound frame (protocol and
-  /// heartbeats alike). Drops discard the frame, duplicates queue it
-  /// twice, corruption flips a wire byte (the receiver's checksum must
-  /// catch it), and delays park the frame like send_delay does. Share one
-  /// engine across a cluster's nodes to replay a whole-cluster scenario.
+  /// Fault injection: a seeded chaos::ScenarioEngine consulted once per
+  /// outbound frame (protocol and heartbeats alike). Drops discard the
+  /// frame, duplicates queue it twice, corruption flips a wire byte (the
+  /// receiver's checksum must catch it), and delays park the frame until
+  /// its release time. A Scenario::gray phase on this node is netem-style
+  /// induced skew: every frame it sends is held back by the slowdown.
+  /// Share one engine across a cluster's nodes to replay a whole-cluster
+  /// scenario.
   chaos::ScenarioEngineRef chaos;
   /// Dual mode: caps how long per-frame progress can re-arm the round
   /// watchdog (see plus::FallbackTimer). 0 = the default 8x
@@ -233,8 +228,7 @@ class TcpNode {
   void on_readable(int fd);
   void on_writable(int fd);
   void parse_frames(Conn& conn);
-  /// Engine/FD send hook: applies the chaos interposition and the
-  /// send_delay knob, then queues.
+  /// Engine/FD send hook: applies the chaos interposition, then queues.
   void queue_frame(NodeId dst, const core::FrameRef& frame);
   /// Queues a frame on its connection for the end-of-wake flush.
   void queue_frame_now(NodeId dst, const core::FrameRef& frame);
@@ -270,7 +264,7 @@ class TcpNode {
   std::unique_ptr<core::HeartbeatFd> fd_;
   /// Dual mode: round watchdog polled once per event-loop wake.
   std::unique_ptr<plus::FallbackTimer> watchdog_;
-  /// send_delay/chaos knobs: frames parked until their release time
+  /// Chaos delays: frames parked until their release time
   /// (monotonic ns), kept sorted by release time (chaos jitter varies
   /// per frame, so enqueue order is not release order).
   std::deque<std::tuple<TimeNs, NodeId, core::FrameRef>> delayed_;

@@ -13,10 +13,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
-#include "chaos/scenario.hpp"
 #include "common/types.hpp"
 
 namespace allconcur::sim {
@@ -74,25 +72,10 @@ class NetworkModel {
   /// the Fig. 6 model curves.
   DurationNs uncontended_transit(std::size_t bytes) const;
 
-  /// Fault-injection hook: consulted once per message on its send path.
-  /// The fabric itself stays a pure cost model — the hook (typically a
-  /// chaos::ScenarioEngine) decides drops, duplicates, corruption, and
-  /// extra delay; the cluster applies the verdict.
-  using FaultHook = std::function<chaos::Action(NodeId src, NodeId dst,
-                                                TimeNs now)>;
-  void set_fault_hook(FaultHook hook) { fault_hook_ = std::move(hook); }
-
-  /// One verdict for one message; the identity Action when no hook is set.
-  chaos::Action shape(NodeId src, NodeId dst, TimeNs now) {
-    if (!fault_hook_) return {};
-    return fault_hook_(src, dst, now);
-  }
-
  private:
   double stream_time(std::size_t bytes) const;
 
   FabricParams params_;
-  FaultHook fault_hook_;
   std::vector<TimeNs> egress_free_;
   std::vector<TimeNs> ingress_free_;
   // conn_free_ keyed by src * nodes + dst.

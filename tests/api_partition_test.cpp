@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 
 #include "api/sim_cluster.hpp"
+#include "chaos/scenario.hpp"
 #include "graph/digraph.hpp"
 
 namespace allconcur::api {
@@ -24,15 +26,24 @@ ClusterOptions dp_options(std::size_t n) {
   return opt;
 }
 
+/// Fully separates `group` from everyone else during [from, until) of the
+/// virtual clock (the cluster pins the scenario epoch to t = 0).
+chaos::ScenarioEngineRef partition(std::vector<NodeId> group, TimeNs from,
+                                   TimeNs until = kTimeNever) {
+  return std::make_shared<chaos::ScenarioEngine>(
+      chaos::Scenario(/*seed=*/1).partition(from, until, std::move(group)));
+}
+
 TEST(Partition, MinorityStallsMajorityProceeds) {
-  SimCluster c(dp_options(8));
+  // Split {5,6,7} away before any round starts.
+  ClusterOptions opt = dp_options(8);
+  opt.chaos = partition({5, 6, 7}, 0);
+  SimCluster c(opt);
   std::map<NodeId, std::vector<RoundResult>> results;
   c.on_deliver = [&](NodeId who, const RoundResult& r, TimeNs) {
     results[who].push_back(r);
     c.broadcast_now(who);
   };
-  // Split {5,6,7} away before any round starts.
-  c.partition_at({5, 6, 7}, 0);
   c.broadcast_all_now();
   c.run_for(sec(2));
 
@@ -59,12 +70,12 @@ TEST(Partition, PerfectModeWouldSplitBrain) {
   ClusterOptions opt = dp_options(8);
   opt.builder = [](std::size_t m) { return graph::make_complete(m); };
   opt.fd_mode = core::FdMode::kPerfect;
+  opt.chaos = partition({5, 6, 7}, 0);
   SimCluster c(opt);
   std::map<NodeId, std::vector<RoundResult>> results;
   c.on_deliver = [&](NodeId who, const RoundResult& r, TimeNs) {
     results[who].push_back(r);
   };
-  c.partition_at({5, 6, 7}, 0);
   c.broadcast_all_now();
   c.run_for(sec(2));
   ASSERT_FALSE(results[0].empty());
@@ -74,13 +85,14 @@ TEST(Partition, PerfectModeWouldSplitBrain) {
 }
 
 TEST(Partition, EvictedMinorityRejoinsAfterHeal) {
-  SimCluster c(dp_options(8));
+  ClusterOptions opt = dp_options(8);
+  opt.chaos = partition({6, 7}, 0, /*until=*/ms(600));
+  SimCluster c(opt);
   std::map<NodeId, std::vector<RoundResult>> results;
   c.on_deliver = [&](NodeId who, const RoundResult& r, TimeNs) {
     results[who].push_back(r);
     c.broadcast_now(who);
   };
-  c.partition_at({6, 7}, 0, /*heal_at=*/ms(600));
   // After the heal, the operator re-admits replacements for the evicted
   // servers through an agreed join (§3.3.2: "restart ... and rejoin").
   c.schedule_join(ms(800), /*sponsor=*/0);
@@ -103,17 +115,17 @@ TEST(Partition, TransientLinkLossIsRiddenOut) {
   // latency — reliable links may delay messages, not lose them, so the
   // harness re-sends nothing; the glitch here only affects heartbeats
   // between rounds.
-  SimCluster c(dp_options(6));
+  // Rounds complete quickly; the glitch happens while idle between rounds
+  // and heals well inside the 60 ms timeout.
+  ClusterOptions opt = dp_options(6);
+  opt.chaos = partition({0, 1, 2}, ms(10), /*until=*/ms(30));
+  SimCluster c(opt);
   std::map<NodeId, std::vector<RoundResult>> results;
   c.on_deliver = [&](NodeId who, const RoundResult& r, TimeNs) {
     results[who].push_back(r);
   };
-  // Rounds complete quickly; the glitch happens while idle between rounds
-  // and heals well inside the 60 ms timeout.
   c.broadcast_all_now();
-  c.run_for(ms(5));
-  c.partition_at({0, 1, 2}, ms(10), /*heal_at=*/ms(30));
-  c.run_for(ms(200));
+  c.run_for(ms(205));
   c.broadcast_all_now();
   c.run_for(ms(200));
   for (NodeId id : c.live_nodes()) {
@@ -121,6 +133,8 @@ TEST(Partition, TransientLinkLossIsRiddenOut) {
     EXPECT_EQ(results[id].back().view_size, 6u) << "node " << id;
     EXPECT_TRUE(results[id].back().removed.empty()) << "node " << id;
   }
+  // The glitch really cut links (heartbeats crossing the split were lost).
+  EXPECT_GT(opt.chaos->stats().dropped, 0u);
 }
 
 }  // namespace

@@ -249,5 +249,78 @@ TEST(SimCluster, BroadcastTimesRecorded) {
   EXPECT_FALSE(c.broadcast_time(0, 99).has_value());
 }
 
+// ---------------------------------------------------------------------
+// Auto-heal (§4.2.2 deployment note): failed servers are replaced by
+// standbys through ordinary agreed joins, restoring the membership size.
+// ---------------------------------------------------------------------
+
+TEST(AutoHeal, CrashTriggersReplacementJoin) {
+  ClusterOptions opt;
+  opt.n = 8;
+  opt.detection_delay = ms(1);
+  opt.auto_heal = true;
+  SimCluster c(opt);
+  std::map<NodeId, std::vector<RoundResult>> results;
+  c.on_deliver = [&](NodeId who, const RoundResult& r, TimeNs) {
+    results[who].push_back(r);
+    c.broadcast_now(who);
+  };
+  c.crash_at(5, ms(1));
+  c.broadcast_all_now();
+  c.run_for(ms(20));
+
+  // The standby (id 8) must have been admitted and the view restored to 8.
+  ASSERT_TRUE(c.exists(8));
+  EXPECT_TRUE(c.alive(8));
+  for (NodeId id : c.live_nodes()) {
+    ASSERT_FALSE(results[id].empty());
+    EXPECT_EQ(results[id].back().view_size, 8u) << "node " << id;
+  }
+  EXPECT_FALSE(c.alive(5));
+}
+
+TEST(AutoHeal, SequentialCrashesKeepHealing) {
+  ClusterOptions opt;
+  opt.n = 8;
+  opt.detection_delay = ms(1);
+  opt.auto_heal = true;
+  SimCluster c(opt);
+  std::map<NodeId, std::vector<RoundResult>> results;
+  c.on_deliver = [&](NodeId who, const RoundResult& r, TimeNs) {
+    results[who].push_back(r);
+    c.broadcast_now(who);
+  };
+  c.crash_at(3, ms(1));
+  c.crash_at(6, ms(10));
+  c.broadcast_all_now();
+  c.run_for(ms(40));
+
+  ASSERT_TRUE(c.exists(8));
+  ASSERT_TRUE(c.exists(9));
+  for (NodeId id : c.live_nodes()) {
+    EXPECT_EQ(results[id].back().view_size, 8u) << "node " << id;
+  }
+}
+
+TEST(AutoHeal, DisabledMeansShrink) {
+  ClusterOptions opt;
+  opt.n = 8;
+  opt.detection_delay = ms(1);
+  opt.auto_heal = false;
+  SimCluster c(opt);
+  std::map<NodeId, std::vector<RoundResult>> results;
+  c.on_deliver = [&](NodeId who, const RoundResult& r, TimeNs) {
+    results[who].push_back(r);
+    c.broadcast_now(who);
+  };
+  c.crash_at(5, ms(1));
+  c.broadcast_all_now();
+  c.run_for(ms(20));
+  EXPECT_FALSE(c.exists(8));
+  for (NodeId id : c.live_nodes()) {
+    EXPECT_EQ(results[id].back().view_size, 7u) << "node " << id;
+  }
+}
+
 }  // namespace
 }  // namespace allconcur::api

@@ -1,6 +1,6 @@
 // Scenario-engine determinism and fault semantics: the same seed must
 // produce the identical fault schedule however the engine is deployed
-// (sim fabric hook or TCP interposition differ only in their clock
+// (the sim send path and the TCP interposition differ only in their clock
 // epoch), phases must activate exactly within their windows, and injected
 // corruption must always be caught by the frame checksum.
 #include <gtest/gtest.h>
@@ -147,6 +147,52 @@ TEST(ChaosScenario, GraySlowsAndTrickles) {
   const Action healthy = eng.on_frame(1, 2, ms(1));
   EXPECT_FALSE(healthy.drop);
   EXPECT_EQ(healthy.delay, 0);
+}
+
+TEST(ChaosScenario, GrayWithoutDropDrawsNoRandomness) {
+  // The deployments model a slow server as a drop-free gray phase. That
+  // phase must only add its slowdown: a co-active faults phase keeps its
+  // per-link draw sequence, so every drop/duplicate/corrupt verdict (and
+  // the jitter) matches the faults phase alone, frame by frame.
+  LinkFaults f;
+  f.drop = 0.1;
+  f.duplicate = 0.15;
+  f.corrupt = 0.1;
+  f.reorder = 0.3;
+  f.reorder_jitter = us(500);
+  const DurationNs slowdown = us(300);
+  const auto with_gray = [&](double gray_drop) {
+    return Scenario(21)
+        .gray(0, kTimeNever, 2, slowdown, gray_drop)
+        .faults(0, kTimeNever, f);
+  };
+  ScenarioEngine alone(Scenario(21).faults(0, kTimeNever, f));
+  ScenarioEngine gray(with_gray(0.0));
+  alone.set_epoch(0);
+  gray.set_epoch(0);
+  for (const Ev& e : workload(5000)) {
+    Action expected = alone.on_frame(e.src, e.dst, e.t);
+    if (e.src == 2) expected.delay += slowdown;
+    ASSERT_TRUE(same_action(gray.on_frame(e.src, e.dst, e.t), expected))
+        << "frame " << e.src << "->" << e.dst << " at " << e.t;
+  }
+  EXPECT_GT(alone.stats().dropped, 0u);
+
+  // Control: a gray phase that does drop draws from the gray node's link
+  // streams and shifts the faults phase's verdicts there.
+  ScenarioEngine base(Scenario(21).faults(0, kTimeNever, f));
+  ScenarioEngine lossy(with_gray(0.25));
+  base.set_epoch(0);
+  lossy.set_epoch(0);
+  std::size_t differing = 0;
+  for (const Ev& e : workload(5000)) {
+    Action expected = base.on_frame(e.src, e.dst, e.t);
+    if (e.src == 2) expected.delay += slowdown;
+    if (!same_action(lossy.on_frame(e.src, e.dst, e.t), expected)) {
+      ++differing;
+    }
+  }
+  EXPECT_GT(differing, 0u);
 }
 
 TEST(ChaosScenario, CorruptionAlwaysDetectedByChecksum) {

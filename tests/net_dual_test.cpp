@@ -1,7 +1,8 @@
-// Dual-digraph fast path and the netem-style send_delay knob over real
-// localhost TCP sockets: fast rounds on actual sockets (two overlays'
-// worth of connections), the timeout-armed fallback on a genuinely
-// delayed node, and the send_delay knob's observable latency effect.
+// Dual-digraph fast path and chaos gray phases (netem-style induced skew)
+// over real localhost TCP sockets: fast rounds on actual sockets (two
+// overlays' worth of connections), the timeout-armed fallback on a
+// genuinely delayed node, and the gray slowdown's observable latency
+// effect.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +10,7 @@
 #include <chrono>
 #include <thread>
 
+#include "chaos/scenario.hpp"
 #include "plus/dual_overlay.hpp"
 #include "tcp_cluster.hpp"
 
@@ -19,6 +21,15 @@ using core::Request;
 using core::RoundResult;
 using testing::scaled;
 using testing::TcpCluster;
+
+/// Every frame each of `nodes` sends is held back by `delay`: a drop-free
+/// gray phase from the first frame on.
+chaos::ScenarioEngineRef slow_senders(const std::vector<NodeId>& nodes,
+                                      DurationNs delay) {
+  chaos::Scenario s(/*seed=*/1);
+  for (const NodeId id : nodes) s.gray(0, kTimeNever, id, delay);
+  return std::make_shared<chaos::ScenarioEngine>(std::move(s));
+}
 
 std::vector<NodeId> origins(const RoundResult& r) {
   std::vector<NodeId> out;
@@ -65,11 +76,12 @@ TEST(TcpDual, DelayedNodeTriggersTimeoutFallbackAndRecovers) {
   // agree — the skew/fallback claim on actual TCP, not scheduler noise.
   const DurationNs delay = scaled(ms(120));
   const DurationNs timeout = scaled(ms(30));
+  const auto inject = slow_senders({1}, delay);
   TcpCluster c(4, core::FdMode::kPerfect, ms(2000),
                [&](TcpNodeOptions& opt) {
                  opt.fast_builder = plus::make_unreliable_builder();
                  opt.fallback_timeout = timeout;
-                 if (opt.self == 1) opt.send_delay = delay;
+                 if (opt.self == 1) opt.chaos = inject;
                });
   const std::uint64_t kRounds = 3;
   std::atomic<bool> done{false};
@@ -101,12 +113,14 @@ TEST(TcpDual, DelayedNodeTriggersTimeoutFallbackAndRecovers) {
 }
 
 TEST(TcpSendDelay, KnobStretchesRoundLatency) {
-  // Two classic runs, identical except every node's send_delay: the
-  // delayed cluster's first rounds must take at least the delay longer.
+  // Two classic runs, identical except a gray phase slowing every node's
+  // sends: the delayed cluster's first rounds must take at least the
+  // delay longer.
   const DurationNs delay = scaled(ms(100));
   const auto run_once = [&](DurationNs d) {
+    const auto inject = d > 0 ? slow_senders({0, 1, 2}, d) : nullptr;
     TcpCluster c(3, core::FdMode::kPerfect, ms(250),
-                 [&](TcpNodeOptions& opt) { opt.send_delay = d; });
+                 [&](TcpNodeOptions& opt) { opt.chaos = inject; });
     const auto t0 = std::chrono::steady_clock::now();
     for (NodeId i = 0; i < 3; ++i) c.node(i).broadcast_now();
     EXPECT_TRUE(c.wait_rounds({0, 1, 2}, 1, sec(30)));
@@ -119,7 +133,7 @@ TEST(TcpSendDelay, KnobStretchesRoundLatency) {
   // One round needs at least one delayed hop (in practice several); half
   // the delay is a generous slack against scheduling jitter.
   EXPECT_GT(slow_ns, fast_ns + delay / 2)
-      << "send_delay had no observable effect";
+      << "the gray slowdown had no observable effect";
 }
 
 }  // namespace

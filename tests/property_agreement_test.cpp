@@ -222,8 +222,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MultiRoundProperty,
 
 // ---------------------------------------------------------------------
 // Chaos sweeps on the timed simulator: committed scenario seeds (see
-// chaos_scenarios.hpp) replay deterministic fault schedules through the
-// fabric's fault hook. Agreement must survive them, and the corruption
+// chaos_scenarios.hpp) replay deterministic fault schedules on the
+// cluster's send path. Agreement must survive them, and the corruption
 // counters must stay silent (these scenarios inject none).
 // ---------------------------------------------------------------------
 
@@ -291,10 +291,10 @@ class ChaosPartitionHealProperty
     : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ChaosPartitionHealProperty, MajorityAgreesAcrossPartitionAndHeal) {
-  // A chaos-driven partition (not the oracle link filter): {6, 7} are cut
-  // off from [20 ms, 500 ms). The heartbeat ⋄P detector suspects them
-  // from the silence, the majority evicts them and keeps delivering;
-  // the heal arrives after eviction, so the view stays at 6.
+  // A chaos-driven partition: {6, 7} are cut off from [20 ms, 500 ms).
+  // The heartbeat ⋄P detector suspects them from the silence, the
+  // majority evicts them and keeps delivering; the heal arrives after
+  // eviction, so the view stays at 6.
   auto inject = std::make_shared<chaos::ScenarioEngine>(
       testing::partition_heal_scenario(GetParam(), {6, 7}, ms(20), ms(500)));
   api::ClusterOptions opt;

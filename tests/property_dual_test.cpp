@@ -341,10 +341,12 @@ TEST_P(DualSmrProperty, HashGuardHoldsAcrossMixedFastFallbackHistory) {
   opt.cluster.fast_builder = plus::make_unreliable_builder();
   opt.cluster.fallback_timeout = ms(20);
   opt.cluster.detection_delay = ms(1);
+  // One slow server: real skew for the fast path to absorb. A drop-free
+  // gray phase adds exactly the slowdown and draws no randomness.
+  const NodeId slow = static_cast<NodeId>(1 + rng.next_below(7));
+  opt.cluster.chaos = std::make_shared<chaos::ScenarioEngine>(
+      chaos::Scenario(seed).gray(0, kTimeNever, slow, us(300)));
   SimKvCluster c(opt);
-  // One slow server: real skew for the fast path to absorb.
-  c.cluster().set_send_delay(static_cast<NodeId>(1 + rng.next_below(7)),
-                             us(300));
 
   std::vector<KvSession> sessions;
   for (std::size_t i = 0; i < opt.cluster.n; ++i) {

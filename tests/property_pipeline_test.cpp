@@ -251,10 +251,13 @@ TEST_P(PipelinedSmrProperty, HashGuardHoldsUnderWindowSkewAndCrash) {
   opt.cluster.n = 8;
   opt.cluster.window = 4;
   opt.cluster.detection_delay = ms(1);
-  SimKvCluster c(opt);
   // Induced per-node skew: one slow server, the convoy the window hides.
-  c.cluster().set_send_delay(static_cast<NodeId>(1 + rng.next_below(7)),
-                             us(300));
+  // A drop-free gray phase adds exactly the slowdown and draws no
+  // randomness, so the scenario seed is immaterial.
+  const NodeId slow = static_cast<NodeId>(1 + rng.next_below(7));
+  opt.cluster.chaos = std::make_shared<chaos::ScenarioEngine>(
+      chaos::Scenario(seed).gray(0, kTimeNever, slow, us(300)));
+  SimKvCluster c(opt);
 
   std::vector<KvSession> sessions;
   for (std::size_t i = 0; i < opt.cluster.n; ++i) {
