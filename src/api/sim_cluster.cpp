@@ -11,7 +11,6 @@ namespace allconcur::api {
 
 using core::Engine;
 using core::FrameRef;
-using core::HeartbeatFd;
 using core::Message;
 using core::MsgType;
 using core::RoundResult;
@@ -65,8 +64,10 @@ SimCluster::SimCluster(ClusterOptions options)
                 /*start_round=*/0);
     nodes_[i]->active = true;
   }
+  // Heartbeat ticks are scheduled once every engine exists, after every
+  // watchdog tick: equal-time events run in scheduling order.
   for (std::size_t i = 0; i < options_.n; ++i) {
-    wire_fd(static_cast<NodeId>(i));
+    schedule_fd_tick(static_cast<NodeId>(i));
   }
 }
 
@@ -75,65 +76,16 @@ SimCluster::~SimCluster() = default;
 void SimCluster::create_node(NodeId id, View view, Round start_round) {
   ALLCONCUR_ASSERT(id < nodes_.size(), "node id beyond reserved slots");
   ALLCONCUR_ASSERT(!nodes_[id], "node already exists");
-  auto node = std::make_unique<Node>();
-  Engine::Hooks hooks;
-  hooks.send = [this, id](NodeId dst, const FrameRef& frame) {
-    handle_send(id, dst, frame);
-  };
-  hooks.deliver = [this, id](const RoundResult& r) { handle_delivery(id, r); };
-  Engine::Options eopts;
-  eopts.fd_mode = options_.fd_mode;
-  eopts.window = options_.window;
-  eopts.fast_builder = options_.fast_builder;
-  if (options_.flight_recorder) {
-    node->recorder = std::make_unique<obs::FlightRecorder>(
-        options_.recorder_capacity, /*enabled=*/true);
-    // Events are stamped straight off the virtual clock — the recorder
-    // dereferences the simulator's own now_ on each record().
-    node->recorder->set_time_source(sim_.now_ptr());
-    eopts.recorder = node->recorder.get();
-  }
-  if (options_.trace_sample_period != 0) {
-    node->tracer = std::make_unique<obs::TraceBuffer>(options_.trace_capacity,
-                                                      /*enabled=*/true);
-    node->tracer->set_time_source(sim_.now_ptr());
-    node->tracer->set_self(id);
-    // Sampled relays stamp the modeled per-hop latency into the frame's
-    // cumulative estimate, read off the cluster-wide relay histogram.
-    node->tracer->set_hop_histogram(relay_hop_);
-    eopts.tracer = node->tracer.get();
-    eopts.trace_sample_period = options_.trace_sample_period;
-  }
-  node->engine = std::make_unique<Engine>(id, std::move(view),
-                                          options_.builder, hooks, eopts,
-                                          start_round);
-  nodes_[id] = std::move(node);
-  if (options_.fast_builder && options_.fallback_timeout > 0) {
-    nodes_[id]->watchdog = std::make_unique<plus::FallbackTimer>(
-        options_.fallback_timeout, options_.fallback_max_round_age);
-    nodes_[id]->watchdog->set_recorder(nodes_[id]->recorder.get());
-    schedule_watchdog_tick(id);
-  }
-}
-
-void SimCluster::wire_fd(NodeId id) {
-  if (!options_.heartbeat_fd) return;
-  Node& node = *nodes_[id];
-  HeartbeatFd::Hooks hooks;
-  hooks.send = [this, id](NodeId dst, const FrameRef& frame) {
-    handle_send(id, dst, frame);
-  };
-  hooks.suspect = [this, id](NodeId suspect) {
-    Node& n = *nodes_[id];
-    if (!n.crashed && n.active) n.engine->on_suspect(suspect);
-  };
-  node.fd = std::make_unique<HeartbeatFd>(id, options_.fd_params, hooks);
-  // Dual mode monitors the union overlay: a fallback's tracking liveness
-  // needs every G_U ∪ G_R successor of a crashed server to suspect it.
-  node.fd->set_peers(node.engine->view().monitor_successors_of(id),
-                     node.engine->view().monitor_predecessors_of(id),
-                     sim_.now());
-  schedule_fd_tick(id);
+  nodes_[id] = std::make_unique<Node>();
+  // Recorder and tracer read the simulator's own clock on each record().
+  const node::NodeRuntime& rt = nodes_[id]->rt.emplace(
+      id, std::move(view), start_round, options_, sim_.now_ptr(),
+      [this, id](NodeId dst, const FrameRef& frame) {
+        handle_send(id, dst, frame);
+      },
+      [this, id](const RoundResult& r) { handle_delivery(id, r); },
+      relay_hop_);
+  if (rt.has_watchdog()) schedule_watchdog_tick(id);
 }
 
 void SimCluster::schedule_watchdog_tick(NodeId id) {
@@ -141,13 +93,7 @@ void SimCluster::schedule_watchdog_tick(NodeId id) {
   sim_.schedule(options_.fallback_timeout / 2, [this, id] {
     Node& node = *nodes_[id];
     if (node.crashed) return;  // dead: the watchdog dies with the node
-    if (node.active && !node.engine->departed()) {
-      Engine& e = *node.engine;
-      if (const auto stuck = node.watchdog->poll(
-              e.current_round(), e.front_round_progress(), sim_.now())) {
-        e.on_round_timeout(*stuck);
-      }
-    }
+    if (node.active) node.rt->poll_watchdog(sim_.now());
     schedule_watchdog_tick(id);
   });
 }
@@ -155,23 +101,24 @@ void SimCluster::schedule_watchdog_tick(NodeId id) {
 void SimCluster::force_fallback(NodeId id) {
   sim_.schedule(0, [this, id] {
     if (!alive(id)) return;
-    Engine& e = *nodes_[id]->engine;
+    Engine& e = nodes_[id]->rt->engine();
     e.on_round_timeout(e.current_round());
   });
 }
 
 void SimCluster::schedule_fd_tick(NodeId id) {
+  if (!nodes_[id]->rt->has_fd()) return;
   sim_.schedule(options_.fd_params.period, [this, id] {
     Node& node = *nodes_[id];
-    if (node.crashed || !node.fd) return;  // dead: heartbeats stop
-    if (node.active) node.fd->tick(sim_.now());
+    if (node.crashed) return;  // dead: heartbeats stop
+    if (node.active) node.rt->tick_fd(sim_.now());
     schedule_fd_tick(id);
   });
 }
 
 core::Engine& SimCluster::engine(NodeId id) {
   ALLCONCUR_ASSERT(exists(id), "no such node");
-  return *nodes_[id]->engine;
+  return nodes_[id]->rt->engine();
 }
 
 bool SimCluster::exists(NodeId id) const {
@@ -201,7 +148,7 @@ void SimCluster::submit_opaque(NodeId id, std::size_t bytes) {
 void SimCluster::broadcast_now(NodeId id) {
   if (!alive(id)) return;
   sim_.schedule(0, [this, id] {
-    if (alive(id)) nodes_[id]->engine->broadcast_now();
+    if (alive(id)) nodes_[id]->rt->engine().broadcast_now();
   });
 }
 
@@ -244,19 +191,13 @@ void SimCluster::handle_send(NodeId src, NodeId dst, const FrameRef& frame) {
       model_.sender_done(src, dst, frame->wire_size(), sim_.now());
   // Chaos delay (gray slowdown, reorder jitter): the frame arrives late.
   const TimeNs arrive = model_.arrival(done) + act.delay;
-  if (sender.tracer && msg.trace_sampled() &&
-      (msg.type == MsgType::kBroadcast || msg.type == MsgType::kUBcast)) {
+  if (sender.rt->tracer() && node::NodeRuntime::traced_broadcast(msg)) {
     // Sampled frame leaving this node: the enqueue span now, the send
     // span once the modeled serialization finishes (o_s + bytes on the
     // wire), both against the virtual clock.
-    sender.tracer->record(obs::SpanKind::kEnqueue, msg.round, msg.origin,
-                          dst, msg.trace_hop(), msg.detector);
+    sender.rt->trace(obs::SpanKind::kEnqueue, msg, dst);
     sim_.schedule_at(done, [this, src, dst, frame] {
-      Node* n = nodes_[src].get();
-      if (n == nullptr || !n->tracer) return;
-      const Message& m = frame->msg();
-      n->tracer->record(obs::SpanKind::kSend, m.round, m.origin, dst,
-                        m.trace_hop(), m.detector);
+      nodes_[src]->rt->trace(obs::SpanKind::kSend, frame->msg(), dst);
     });
   }
   schedule_arrival(src, dst, frame, sim_.now(), arrive, act.corrupt,
@@ -303,8 +244,8 @@ void SimCluster::schedule_arrival(NodeId src, NodeId dst,
         // Silent corruption: a flipped byte survived the checksum. This
         // is the invariant the chaos gate asserts never happens — ship
         // the evidence (every node's timeline) with the first trip.
-        if (chaos_corrupt_delivered_ == 0 && nodes_[dst]->recorder) {
-          nodes_[dst]->recorder->record(
+        if (chaos_corrupt_delivered_ == 0 && node->rt->recorder()) {
+          node->rt->recorder()->record(
               obs::EventKind::kInvariantTrip, parsed->round,
               static_cast<std::uint64_t>(obs::TripCode::kCorruptDelivered),
               src);
@@ -312,27 +253,18 @@ void SimCluster::schedule_arrival(NodeId src, NodeId dst,
           obs::trace_dump_on_trip("corrupt_delivered", tracers());
         }
         ++chaos_corrupt_delivered_;
-        if (node->fd) node->fd->on_heartbeat(src, sim_.now());
-        if (parsed->type != MsgType::kHeartbeat) {
-          node->engine->on_message(src, *parsed);
-        }
+        node->rt->receive(src, *parsed, sim_.now());
         return;
       }
-      if (node->fd) node->fd->on_heartbeat(src, sim_.now());
       if (frame->msg().type != MsgType::kHeartbeat) {
-        const Message& m = frame->msg();
         // Modeled one-way hop latency, live regardless of sampling — the
-        // registry histogram tracing reads its per-hop estimate from.
+        // registry histogram tracing reads its per-hop estimate from, so
+        // it is recorded before the engine relays.
         relay_hop_->record(
             static_cast<std::uint64_t>(std::max<TimeNs>(0, sim_.now() -
                                                                sent_at)));
-        if (node->tracer && m.trace_sampled() &&
-            (m.type == MsgType::kBroadcast || m.type == MsgType::kUBcast)) {
-          node->tracer->record(obs::SpanKind::kRecv, m.round, m.origin, src,
-                               m.trace_hop(), m.detector);
-        }
-        node->engine->on_message(src, m);
       }
+      node->rt->receive(src, frame->msg(), sim_.now());
     });
   });
 }
@@ -346,19 +278,16 @@ void SimCluster::handle_delivery(NodeId id, const RoundResult& result) {
     round_latency_->record(static_cast<std::uint64_t>(
         std::max<TimeNs>(0, sim_.now() - it->second)));
   }
-  // Membership changed: reconfigure the FD and activate any joiners.
+  // Membership changed (the runtime already re-peered a heartbeat FD):
+  // activate any joiners.
   if (!result.joined.empty() || !result.removed.empty()) {
-    if (node.fd && !node.engine->departed()) {
-      node.fd->set_peers(node.engine->view().monitor_successors_of(id),
-                         node.engine->view().monitor_predecessors_of(id),
-                         sim_.now());
-    }
+    const Engine& engine = node.rt->engine();
     // The rebuilt overlay may hand this node *new* predecessors that are
     // long dead but still members (their last message was delivered).
     // A real FD keeps timing out on them (§3.2: successors detect the
     // lack of heartbeats, per the *current* G); the oracle must do the
     // same or their tracking digraphs never resolve.
-    if (!options_.heartbeat_fd && !node.engine->departed()) {
+    if (!options_.heartbeat_fd && !engine.departed()) {
       reinject_oracle_suspicions(id);
     }
     for (NodeId joiner : result.joined) {
@@ -366,10 +295,10 @@ void SimCluster::handle_delivery(NodeId id, const RoundResult& result) {
         // First commit observation anywhere in the cluster instantiates
         // the joiner with the new view, starting at the next round.
         create_node(joiner,
-                    View(node.engine->view().members(), options_.builder,
+                    View(engine.view().members(), options_.builder,
                          options_.fast_builder),
                     result.round + 1);
-        wire_fd(joiner);
+        schedule_fd_tick(joiner);
       }
       if (!nodes_[joiner]->active) activate_node(joiner);
     }
@@ -391,10 +320,10 @@ void SimCluster::handle_delivery(NodeId id, const RoundResult& result) {
 
 void SimCluster::reinject_oracle_suspicions(NodeId id) {
   for (NodeId pred :
-       nodes_[id]->engine->view().monitor_predecessors_of(id)) {
+       nodes_[id]->rt->engine().view().monitor_predecessors_of(id)) {
     if (exists(pred) && nodes_[pred]->crashed) {
       sim_.schedule(options_.detection_delay, [this, id, pred] {
-        if (alive(id)) nodes_[id]->engine->on_suspect(pred);
+        if (alive(id)) nodes_[id]->rt->engine().on_suspect(pred);
       });
     }
   }
@@ -408,15 +337,12 @@ void SimCluster::activate_node(NodeId id) {
   const auto buffered = std::move(node.preactivation);
   node.preactivation.clear();
   for (const auto& [src, frame] : buffered) {
-    if (node.fd) node.fd->on_heartbeat(src, sim_.now());
-    if (frame->msg().type != MsgType::kHeartbeat) {
-      node.engine->on_message(src, frame->msg());
-    }
+    node.rt->receive(src, frame->msg(), sim_.now());
   }
   // A joiner may inherit dead-but-member predecessors (see
   // reinject_oracle_suspicions).
   if (!options_.heartbeat_fd) reinject_oracle_suspicions(id);
-  node.engine->broadcast_now();
+  node.rt->engine().broadcast_now();
 }
 
 void SimCluster::crash_at(NodeId id, TimeNs when) {
@@ -436,7 +362,7 @@ void SimCluster::crash_after_sends(NodeId id, TimeNs when,
     sim_.schedule(options_.detection_delay, [this, id] {
       for (NodeId other = 0; other < nodes_.size(); ++other) {
         if (other == id || !alive(other)) continue;
-        Engine& e = *nodes_[other]->engine;
+        Engine& e = nodes_[other]->rt->engine();
         if (!e.view().contains(id)) continue;
         const auto preds = e.view().monitor_predecessors_of(other);
         if (std::find(preds.begin(), preds.end(), id) != preds.end()) {
@@ -453,7 +379,7 @@ NodeId SimCluster::schedule_join(TimeNs when, NodeId sponsor) {
   const NodeId id = next_join_id_++;
   sim_.schedule_at(when, [this, id, sponsor] {
     if (alive(sponsor)) {
-      nodes_[sponsor]->engine->submit(core::Request::join(id));
+      nodes_[sponsor]->rt->engine().submit(core::Request::join(id));
     }
   });
   return id;
@@ -464,7 +390,7 @@ bool SimCluster::run_until_round_done(Round r, TimeNs deadline) {
   for (;;) {
     bool done = true;
     for (NodeId id : live_nodes()) {
-      if (nodes_[id]->engine->current_round() <= r) {
+      if (nodes_[id]->rt->engine().current_round() <= r) {
         done = false;
         break;
       }
@@ -476,23 +402,13 @@ bool SimCluster::run_until_round_done(Round r, TimeNs deadline) {
   }
 }
 
-const obs::FlightRecorder* SimCluster::recorder(NodeId id) const {
-  if (!exists(id)) return nullptr;
-  return nodes_[id]->recorder.get();
-}
-
-obs::FlightRecorder* SimCluster::recorder(NodeId id) {
-  if (!exists(id)) return nullptr;
-  return nodes_[id]->recorder.get();
-}
-
 std::vector<std::pair<std::string, const obs::FlightRecorder*>>
 SimCluster::recorders() const {
   std::vector<std::pair<std::string, const obs::FlightRecorder*>> out;
   for (NodeId id = 0; id < nodes_.size(); ++id) {
-    if (!exists(id) || !nodes_[id]->recorder) continue;
+    if (!exists(id) || !nodes_[id]->rt->recorder()) continue;
     out.emplace_back("node" + std::to_string(id),
-                     nodes_[id]->recorder.get());
+                     nodes_[id]->rt->recorder());
   }
   return out;
 }
@@ -501,27 +417,17 @@ std::vector<std::pair<std::string, const obs::TraceBuffer*>>
 SimCluster::tracers() const {
   std::vector<std::pair<std::string, const obs::TraceBuffer*>> out;
   for (NodeId id = 0; id < nodes_.size(); ++id) {
-    if (!exists(id) || !nodes_[id]->tracer) continue;
-    out.emplace_back("node" + std::to_string(id), nodes_[id]->tracer.get());
+    if (!exists(id) || !nodes_[id]->rt->tracer()) continue;
+    out.emplace_back("node" + std::to_string(id), nodes_[id]->rt->tracer());
   }
   return out;
-}
-
-const obs::TraceBuffer* SimCluster::tracer(NodeId id) const {
-  if (!exists(id)) return nullptr;
-  return nodes_[id]->tracer.get();
-}
-
-obs::TraceBuffer* SimCluster::tracer(NodeId id) {
-  if (!exists(id)) return nullptr;
-  return nodes_[id]->tracer.get();
 }
 
 obs::TraceMerge SimCluster::merged_trace() const {
   obs::TraceMerge merge;
   for (NodeId id = 0; id < nodes_.size(); ++id) {
-    if (!exists(id) || !nodes_[id]->tracer) continue;
-    merge.add_spans(nodes_[id]->tracer->spans());
+    if (!exists(id) || !nodes_[id]->rt->tracer()) continue;
+    merge.add_spans(nodes_[id]->rt->tracer()->spans());
   }
   return merge;
 }
@@ -559,7 +465,7 @@ core::EngineStats SimCluster::aggregate_stats() const {
   core::EngineStats total;
   for (NodeId id = 0; id < nodes_.size(); ++id) {
     if (!exists(id)) continue;
-    const auto& s = nodes_[id]->engine->stats();
+    const auto& s = nodes_[id]->rt->engine().stats();
     total.bcast_sent += s.bcast_sent;
     total.bcast_received += s.bcast_received;
     total.fail_sent += s.fail_sent;

@@ -13,65 +13,28 @@
 #include <optional>
 #include <vector>
 
-#include "chaos/scenario.hpp"
-#include "core/engine.hpp"
-#include "core/failure_detector.hpp"
-#include "obs/metrics.hpp"
-#include "obs/recorder.hpp"
-#include "obs/trace.hpp"
-#include "plus/fallback_timer.hpp"
+#include "node/runtime.hpp"
 #include "sim/network_model.hpp"
 #include "sim/simulator.hpp"
 
 namespace allconcur::api {
 
-struct ClusterOptions {
+/// A simulated deployment's options: the shared node options plus the
+/// cluster's own. Its defaults: the perfect oracle, and the Fig. 7 timing
+/// (Δhb = 10 ms, Δto = 100 ms) once heartbeat_fd is on. A
+/// trace_sample_period left at 0 is read from ALLCONCUR_TRACE_PERIOD (CI
+/// chaos jobs set it); the chaos epoch is pinned to t = 0, so scenario
+/// phases name absolute sim times.
+struct ClusterOptions : node::NodeOptions {
+  ClusterOptions()
+      : NodeOptions(/*heartbeat_fd_default=*/false,
+                    {.period = ms(10), .timeout = ms(100)}) {}
+
   std::size_t n = 8;
-  core::GraphBuilder builder = core::make_default_graph_builder();
   sim::FabricParams fabric = sim::FabricParams::tcp_ib();
-  core::FdMode fd_mode = core::FdMode::kPerfect;
-
-  /// Round-pipelining window W handed to every engine: rounds
-  /// [delivered+1, delivered+W] run concurrently (1 = classic
-  /// stop-and-wait iteration).
-  std::size_t window = 1;
-
-  /// Dual-digraph fast path (AllConcur+): builder for the unreliable
-  /// overlay G_U. When set, engines run failure-free rounds untracked
-  /// over G_U and fall back to tracked rounds over G_R (built by
-  /// `builder`) on suspicion or timeout; the fabric routes both overlays'
-  /// links and the FD monitors their union. Empty = classic mode.
-  /// plus::make_unreliable_builder() is the stock pairing.
-  core::GraphBuilder fast_builder;
-  /// Dual mode round watchdog: an armed round stuck longer than this
-  /// triggers the fallback transition at the stuck node. 0 disables the
-  /// watchdog (fallbacks then come only from suspicions or an explicit
-  /// force_fallback).
-  DurationNs fallback_timeout = ms(50);
-
-  /// false: a perfect oracle notifies live successors `detection_delay`
-  /// after a crash (the paper's evaluation setup: "all the experiments
-  /// assume a perfect FD"). true: real heartbeat traffic through the
-  /// simulated fabric with the Δhb/Δto below (the Fig. 7 setup).
-  bool heartbeat_fd = false;
-  core::HeartbeatFd::Params fd_params;
+  /// Perfect oracle: live successors learn of a crash this long after it
+  /// (the paper's "all the experiments assume a perfect FD").
   DurationNs detection_delay = ms(100);
-
-  /// Fault injection: a seeded chaos::ScenarioEngine consulted once per
-  /// frame on the send path. Dropped frames vanish, duplicates arrive
-  /// twice, corrupted frames travel as damaged wire bytes (the frame
-  /// checksum must catch them), and delays add to the fabric's arrival
-  /// time. The engine's epoch is pinned to t = 0 of the virtual clock, so
-  /// phases name absolute sim times: Scenario::partition models a network
-  /// partition (§3.3.1: edges removed, not vertices), Scenario::gray a
-  /// slow server. Null = no injection.
-  chaos::ScenarioEngineRef chaos;
-
-  /// Dual mode: caps how long per-frame progress can re-arm the round
-  /// watchdog (see plus::FallbackTimer). 0 = the default 8x
-  /// fallback_timeout; < 0 disables the cap.
-  DurationNs fallback_max_round_age = 0;
-
   /// Extra engine slots reserved for joins (ids n, n+1, ...).
   std::size_t max_joins = 16;
 
@@ -79,24 +42,6 @@ struct ClusterOptions {
   /// lowest-id live node automatically sponsors one standby join per
   /// removal, restoring the membership size (bounded by max_joins).
   bool auto_heal = false;
-
-  /// Per-node round flight recorder (timestamps on the virtual clock).
-  /// Off, every engine tap reduces to one predictable branch —
-  /// bench/round_pipeline gates the enabled-mode overhead at <= 5%.
-  bool flight_recorder = true;
-  /// Events retained per node (rounded up to a power of two).
-  std::size_t recorder_capacity = 1024;
-
-  /// Cross-node causal tracing (obs/trace.hpp): sample one origin round
-  /// in `trace_sample_period` (0 = off). Sampled broadcasts carry the
-  /// wire trace context; every node records virtual-clock spans that
-  /// merged_trace() / tools/allconcur_trace turn into the round's
-  /// propagation DAG and measured depth. When left at 0, the
-  /// ALLCONCUR_TRACE_PERIOD environment variable (CI chaos jobs set it)
-  /// supplies the period instead.
-  std::uint32_t trace_sample_period = 0;
-  /// Spans retained per node (rounded up to a power of two).
-  std::size_t trace_capacity = 4096;
 
   std::uint64_t seed = 1;
 };
@@ -170,8 +115,12 @@ class SimCluster {
 
   /// Per-node flight recorder (null when ClusterOptions::flight_recorder
   /// is off or the node does not exist).
-  const obs::FlightRecorder* recorder(NodeId id) const;
-  obs::FlightRecorder* recorder(NodeId id);
+  const obs::FlightRecorder* recorder(NodeId id) const {
+    return exists(id) ? nodes_[id]->rt->recorder() : nullptr;
+  }
+  obs::FlightRecorder* recorder(NodeId id) {
+    return exists(id) ? nodes_[id]->rt->recorder() : nullptr;
+  }
   /// (label, recorder) pairs for every existing node — the argument
   /// obs::dump_on_trip expects.
   std::vector<std::pair<std::string, const obs::FlightRecorder*>>
@@ -179,8 +128,12 @@ class SimCluster {
 
   /// Per-node causal-trace span buffer (null when tracing is off or the
   /// node does not exist).
-  const obs::TraceBuffer* tracer(NodeId id) const;
-  obs::TraceBuffer* tracer(NodeId id);
+  const obs::TraceBuffer* tracer(NodeId id) const {
+    return exists(id) ? nodes_[id]->rt->tracer() : nullptr;
+  }
+  obs::TraceBuffer* tracer(NodeId id) {
+    return exists(id) ? nodes_[id]->rt->tracer() : nullptr;
+  }
   /// (label, tracer) pairs for every traced node — the argument
   /// obs::trace_dump_on_trip expects (invariant trips dump these next to
   /// the flight dumps).
@@ -202,27 +155,18 @@ class SimCluster {
 
  private:
   struct Node {
-    std::unique_ptr<core::Engine> engine;
-    std::unique_ptr<core::HeartbeatFd> fd;
+    std::optional<node::NodeRuntime> rt;
     bool active = false;   // joiners stay dormant until their join commits
     bool crashed = false;
     bool send_limited = false;
     std::size_t sends_left = 0;
     std::vector<std::pair<NodeId, core::FrameRef>> preactivation;
     std::map<Round, TimeNs> bcast_times;
-    /// Dual-mode round watchdog (shared policy, see plus/fallback_timer).
-    std::unique_ptr<plus::FallbackTimer> watchdog;
-    /// Round flight recorder (virtual-clock timestamps); null when off.
-    std::unique_ptr<obs::FlightRecorder> recorder;
-    /// Causal-trace span buffer (virtual-clock timestamps); null when
-    /// tracing is off.
-    std::unique_ptr<obs::TraceBuffer> tracer;
   };
 
   void create_node(NodeId id, core::View view, Round start_round);
   void reinject_oracle_suspicions(NodeId id);
   void activate_node(NodeId id);
-  void wire_fd(NodeId id);
   /// In-flight messages are the engine's shared frames: the fabric model
   /// charges frame->wire_size() and the destination reads the decoded form
   /// through frame->msg() — nothing is copied anywhere along the path.

@@ -258,17 +258,14 @@ void Engine::do_broadcast(RoundState& st) {
   Message msg;
   if (pending_opaque_bytes_ > 0 && pending_.empty()) {
     msg = Message::bcast_sized(st.round, self_, pending_opaque_bytes_);
+    pending_opaque_bytes_ = 0;
   } else {
+    // A structured batch's declared size is its payload's: size-only load
+    // pending next to it waits for the next round's broadcast.
     msg = Message::bcast(st.round, self_, pack_batch(pending_));
-    // Size-only load can ride along with structured requests: the declared
-    // size grows, the fabric charges for the bytes, nothing is
-    // materialized. (Simulation-only: the TCP encoder requires the payload
-    // to match the declared size.)
-    msg.payload_bytes += pending_opaque_bytes_;
     pending_.clear();
+    pending_request_bytes_ = 0;
   }
-  pending_opaque_bytes_ = 0;
-  pending_request_bytes_ = 0;
   if (trace_sampled_round(st.round)) {
     // Origin stamp: sampled flag + hop 0 in the header's trace byte, the
     // cumulative one-way estimate (detector word) starts at zero.

@@ -62,68 +62,38 @@ constexpr std::size_t kReadChunk = 64 * 1024;
 TcpNode::TcpNode(TcpNodeOptions options, DeliverFn on_deliver)
     : options_(std::move(options)),
       on_deliver_(std::move(on_deliver)),
-      recorder_(options_.recorder_capacity, options_.recorder_enabled),
-      tracer_(options_.trace_capacity, options_.trace_sample_period != 0) {
-  if (!options_.builder) options_.builder = core::make_default_graph_builder();
+      relay_hop_(&metrics_.histogram(
+          "relay_hop_latency_ns",
+          "Per-hop relay latency: one broadcast frame's parse-to-relayed "
+          "time on this node (monotonic clock around the node's receive: "
+          "liveness bookkeeping and the engine's relay decision). Live "
+          "regardless of trace sampling; its mean is the per-hop estimate "
+          "sampled frames accumulate",
+          obs::Unit::kNanoseconds)),
+      // Events are stamped with the event-loop wake time: one clock read
+      // per wake covers every event it triggers (the wire path stays
+      // clean). Events recorded before run() (round 0 opens here) get this
+      // one.
+      loop_now_(monotonic_now()),
+      runtime_(options_.self,
+               core::View(options_.members, options_.builder,
+                          options_.fast_builder),
+               /*start_round=*/0, options_, &loop_now_,
+               [this](NodeId dst, const core::FrameRef& frame) {
+                 queue_frame(dst, frame);
+               },
+               [this](const core::RoundResult& r) {
+                 completed_rounds_.fetch_add(1, std::memory_order_release);
+                 if (!r.joined.empty() || !r.removed.empty()) {
+                   dial_successors(/*at_start=*/false);
+                 }
+                 if (on_deliver_) on_deliver_(r);
+               },
+               relay_hop_) {
   // Created here, not in run(): commands pushed before the loop starts
   // still find a valid fd to wake.
   event_fd_ = eventfd(0, EFD_NONBLOCK);
   ALLCONCUR_ASSERT(event_fd_ >= 0, "eventfd failed");
-  // Events are stamped with the event-loop wake time: one clock read per
-  // wake covers every event it triggers (the wire path stays clean).
-  // Events recorded before run() (round 0 opens here) get this one.
-  loop_now_ = monotonic_now();
-  recorder_.set_time_source(&loop_now_);
-  tracer_.set_time_source(&loop_now_);
-  tracer_.set_self(options_.self);
-  relay_hop_ = &metrics_.histogram(
-      "relay_hop_latency_ns",
-      "Per-hop relay latency: one broadcast frame's parse-to-relayed time "
-      "on this node (monotonic clock around the engine's relay decision). "
-      "Live regardless of trace sampling; its mean is the per-hop estimate "
-      "sampled frames accumulate",
-      obs::Unit::kNanoseconds);
-  tracer_.set_hop_histogram(relay_hop_);
-
-  core::Engine::Hooks hooks;
-  hooks.send = [this](NodeId dst, const core::FrameRef& frame) {
-    queue_frame(dst, frame);
-  };
-  hooks.deliver = [this](const core::RoundResult& r) {
-    completed_rounds_.fetch_add(1, std::memory_order_release);
-    if (on_deliver_) on_deliver_(r);
-  };
-  core::Engine::Options eopts;
-  eopts.fd_mode = options_.fd_mode;
-  eopts.window = options_.window;
-  eopts.fast_builder = options_.fast_builder;
-  eopts.recorder = &recorder_;
-  eopts.tracer = &tracer_;
-  eopts.trace_sample_period = options_.trace_sample_period;
-  engine_ = std::make_unique<core::Engine>(
-      options_.self,
-      core::View(options_.members, options_.builder, options_.fast_builder),
-      options_.builder, hooks, eopts);
-
-  if (options_.enable_heartbeats) {
-    core::HeartbeatFd::Hooks fd_hooks;
-    fd_hooks.send = [this](NodeId dst, const core::FrameRef& frame) {
-      queue_frame(dst, frame);
-    };
-    fd_hooks.suspect = [this](NodeId suspect) { engine_->on_suspect(suspect); };
-    fd_ = std::make_unique<core::HeartbeatFd>(options_.self,
-                                              options_.fd_params, fd_hooks);
-    // Dual mode monitors (and connects, see dial_successors) the union
-    // overlay G_U ∪ G_R; classic mode this is exactly G.
-    fd_->set_peers(engine_->view().monitor_successors_of(options_.self),
-                   engine_->view().monitor_predecessors_of(options_.self),
-                   monotonic_now());
-  }
-  if (options_.fast_builder && options_.fallback_timeout > 0) {
-    watchdog_ = std::make_unique<plus::FallbackTimer>(
-        options_.fallback_timeout, options_.fallback_max_round_age);
-    watchdog_->set_recorder(&recorder_);
-  }
   // Listening from construction on: a peer started first connects at its
   // first attempt instead of sleeping out refused connects until this
   // node's loop runs (the kernel queues the connection; run() accepts it).
@@ -138,6 +108,12 @@ TcpNode::~TcpNode() {
   if (event_fd_ >= 0) ::close(event_fd_);
   if (timer_fd_ >= 0) ::close(timer_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
+}
+
+const obs::FlightRecorder& TcpNode::recorder() const {
+  static const obs::FlightRecorder kOff(/*capacity=*/2, /*enabled=*/false);
+  const obs::FlightRecorder* rec = runtime_.recorder();
+  return rec != nullptr ? *rec : kOff;
 }
 
 TcpNetStats TcpNode::net_stats() const {
@@ -172,7 +148,7 @@ void TcpNode::setup_listener() {
   set_nonblocking(listen_fd_);
 }
 
-void TcpNode::dial(NodeId peer) {
+bool TcpNode::dial(NodeId peer, int attempts) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ALLCONCUR_ASSERT(fd >= 0, "socket() failed");
   set_nodelay(fd);
@@ -185,7 +161,8 @@ void TcpNode::dial(NodeId peer) {
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(static_cast<std::uint16_t>(options_.base_port + peer));
   // Blocking connect with retries: peers may not be listening yet.
-  for (int attempt = 0; attempt < 400; ++attempt) {
+  for (int attempt = 0; attempt < attempts; ++attempt) {
+    if (attempt > 0) std::this_thread::sleep_for(std::chrono::milliseconds(5));
     if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
       set_nonblocking(fd);
       Conn conn;
@@ -208,20 +185,29 @@ void TcpNode::dial(NodeId peer) {
       } else {
         update_epoll(c);
       }
-      return;
+      return true;
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  ALLCONCUR_ASSERT(false, "could not connect to successor");
+  ::close(fd);
+  return false;
 }
 
-void TcpNode::dial_successors() {
+void TcpNode::dial_successors(bool at_start) {
   // Dual mode dials two overlays' worth of links: fast rounds relay over
   // G_U, fallback/tracking traffic over G_R (monitor_* is their union;
-  // classic mode it is exactly G's successor set).
-  for (NodeId s : engine_->view().monitor_successors_of(options_.self)) {
-    dial(s);
+  // classic mode it is exactly G's successor set). A membership change
+  // can hand this node successors it never linked to (§3.2: heartbeats
+  // follow the *current* G, and so must the relays); those get one
+  // attempt each, since a peer that refuses is gone and its own
+  // successors time it out.
+  if (runtime_.engine().departed()) return;
+  for (NodeId s :
+       runtime_.engine().view().monitor_successors_of(options_.self)) {
+    if (out_by_peer_.count(s) != 0) continue;
+    const bool connected = dial(s, at_start ? 400 : 1);
+    ALLCONCUR_ASSERT(connected || !at_start, "could not connect to successor");
   }
+  if (!at_start) return;
   {
     const std::lock_guard<std::mutex> lock(connected_mutex_);
     connected_ = true;
@@ -244,7 +230,7 @@ void TcpNode::run() {
   ev.data.fd = event_fd_;
   epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, event_fd_, &ev);
 
-  if (fd_) {
+  if (runtime_.has_fd()) {
     timer_fd_ = timerfd_create(CLOCK_MONOTONIC, TFD_NONBLOCK);
     itimerspec spec{};
     const auto period_ns = options_.fd_params.period;
@@ -263,7 +249,7 @@ void TcpNode::run() {
   lev.data.fd = listen_fd_;
   epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &lev);
   setup_admin_listener();
-  dial_successors();
+  dial_successors(/*at_start=*/true);
 
   epoll_event events[64];
   while (!stop_.load(std::memory_order_acquire)) {
@@ -277,24 +263,20 @@ void TcpNode::run() {
     if (options_.chaos) {
       wait_ms = std::min(wait_ms, release_delayed(loop_now_));
     }
-    if (options_.chaos && recorder_.enabled()) {
+    obs::FlightRecorder* rec = runtime_.recorder();
+    if (options_.chaos && rec != nullptr) {
       // Phase-set transitions bracket the fault windows in a dump.
       const std::uint64_t mask = options_.chaos->active_phase_mask(loop_now_);
       if (mask != chaos_phase_mask_) {
         chaos_phase_mask_ = mask;
-        recorder_.record(obs::EventKind::kChaosPhase,
-                         engine_->current_round(), mask);
+        rec->record(obs::EventKind::kChaosPhase,
+                    runtime_.engine().current_round(), mask);
       }
     }
-    if (watchdog_) {
+    if (runtime_.has_watchdog()) {
       // Poll the round watchdog once per wake; cap the sleep so a stall
       // with no socket activity still fires the fallback promptly.
-      if (const auto stuck =
-              watchdog_->poll(engine_->current_round(),
-                              engine_->front_round_progress(),
-                              monotonic_now())) {
-        engine_->on_round_timeout(*stuck);
-      }
+      runtime_.poll_watchdog(monotonic_now());
       const int tick_ms =
           static_cast<int>(std::max<DurationNs>(options_.fallback_timeout / 2,
                                                 ms(1)) / 1'000'000);
@@ -326,7 +308,7 @@ void TcpNode::run() {
       } else if (fd == timer_fd_) {
         std::uint64_t expirations;  // one read resets the count
         [[maybe_unused]] const ssize_t n = ::read(timer_fd_, &expirations, 8);
-        fd_tick();
+        runtime_.tick_fd(monotonic_now());
       } else {
         // Hangups and errors go through the read path first, so frames
         // that arrived ahead of them are parsed before the close.
@@ -345,11 +327,6 @@ void TcpNode::run() {
     // per peer instead of one syscall per message.
     flush_dirty();
   }
-}
-
-void TcpNode::fd_tick() {
-  if (!fd_) return;
-  fd_->tick(monotonic_now());
 }
 
 void TcpNode::on_accept() {
@@ -428,37 +405,21 @@ void TcpNode::parse_frames(Conn& conn) {
   // and the parser hunts for the next plausible header instead of
   // desyncing the connection or stalling on a 4 GiB length field.
   core::StreamStats ss;
-  at = core::parse_stream({conn.rbuf.get(), conn.rend}, at, ss,
-                          [this, &conn](const core::Message& msg) {
-                            net_.frames_received.fetch_add(
-                                1, std::memory_order_relaxed);
-                            if (fd_) {
-                              // Any verified traffic counts as liveness.
-                              fd_->on_heartbeat(conn.peer, monotonic_now());
-                            }
-                            if (msg.type == core::MsgType::kHeartbeat) return;
-                            const bool bc =
-                                msg.type == core::MsgType::kBroadcast ||
-                                msg.type == core::MsgType::kUBcast;
-                            if (bc) {
-                              if (msg.trace_sampled()) {
-                                tracer_.record(obs::SpanKind::kRecv, msg.round,
-                                               msg.origin, conn.peer,
-                                               msg.trace_hop(), msg.detector);
-                              }
-                              // Parse-to-relayed time feeds the per-hop
-                              // histogram for every broadcast frame — the
-                              // metric (and the tracer's hop estimate)
-                              // stays live with sampling off.
-                              const TimeNs t0 = monotonic_now();
-                              engine_->on_message(conn.peer, msg);
-                              relay_hop_->record(
-                                  static_cast<std::uint64_t>(
-                                      std::max<TimeNs>(0, monotonic_now() - t0)));
-                            } else {
-                              engine_->on_message(conn.peer, msg);
-                            }
-                          });
+  at = core::parse_stream(
+      {conn.rbuf.get(), conn.rend}, at, ss,
+      [this, &conn](const core::Message& msg) {
+        net_.frames_received.fetch_add(1, std::memory_order_relaxed);
+        // Parse-to-relayed time feeds the per-hop histogram for every
+        // broadcast frame — the metric (and the tracer's hop estimate)
+        // stays live with sampling off.
+        const TimeNs t0 = monotonic_now();
+        runtime_.receive(conn.peer, msg, t0);
+        if (msg.type == core::MsgType::kBroadcast ||
+            msg.type == core::MsgType::kUBcast) {
+          relay_hop_->record(static_cast<std::uint64_t>(
+              std::max<TimeNs>(0, monotonic_now() - t0)));
+        }
+      });
   if (ss.corrupt_drops > 0) {
     net_.checksum_drops.fetch_add(ss.corrupt_drops,
                                   std::memory_order_relaxed);
@@ -495,8 +456,10 @@ void TcpNode::queue_frame(NodeId dst, const core::FrameRef& frame) {
                                (act.duplicate ? 2u : 0u) |
                                (act.corrupt ? 4u : 0u) |
                                (act.delay > 0 ? 8u : 0u);
-    recorder_.record(obs::EventKind::kChaosInject, engine_->current_round(),
-                     dst, bits);
+    if (obs::FlightRecorder* rec = runtime_.recorder()) {
+      rec->record(obs::EventKind::kChaosInject,
+                  runtime_.engine().current_round(), dst, bits);
+    }
   }
   if (act.drop) return;
   const core::FrameRef out =
@@ -539,14 +502,7 @@ void TcpNode::queue_frame_now(NodeId dst, const core::FrameRef& frame) {
   const auto conn_it = conns_.find(it->second);
   if (conn_it == conns_.end()) return;
   Conn& conn = conn_it->second;
-  if (tracer_.enabled()) {
-    const core::Message& m = frame->msg();
-    if (m.trace_sampled() && (m.type == core::MsgType::kBroadcast ||
-                              m.type == core::MsgType::kUBcast)) {
-      tracer_.record(obs::SpanKind::kEnqueue, m.round, m.origin, dst,
-                     m.trace_hop(), m.detector);
-    }
-  }
+  runtime_.trace(obs::SpanKind::kEnqueue, frame->msg(), dst);
   conn.wqueue.push_back(frame);  // shared reference, no copy
   if (!conn.flush_pending) {
     conn.flush_pending = true;
@@ -586,15 +542,8 @@ void TcpNode::advance_tx(Conn& conn, std::size_t sent) {
     const std::size_t remaining = front.wire_size() - conn.wqueue_offset;
     if (sent >= remaining) {
       sent -= remaining;
-      if (tracer_.enabled()) {
-        const core::Message& m = front.msg();
-        if (m.trace_sampled() && (m.type == core::MsgType::kBroadcast ||
-                                  m.type == core::MsgType::kUBcast)) {
-          // The frame's last byte entered the kernel: the wire edge starts.
-          tracer_.record(obs::SpanKind::kSend, m.round, m.origin, conn.peer,
-                         m.trace_hop(), m.detector);
-        }
-      }
+      // The frame's last byte entered the kernel: the wire edge starts.
+      runtime_.trace(obs::SpanKind::kSend, front.msg(), conn.peer);
       conn.wqueue.pop_front();
       conn.wqueue_offset = 0;
       net_.frames_sent.fetch_add(1, std::memory_order_relaxed);
@@ -711,15 +660,16 @@ void TcpNode::drain_commands() {
   }
   for (Command& cmd : drained_) {
     if (cmd.kind == Command::Kind::kSubmit) {
-      engine_->submit(std::move(cmd.request));
+      runtime_.engine().submit(std::move(cmd.request));
     } else {
-      engine_->broadcast_now();
+      runtime_.engine().broadcast_now();
     }
   }
   drained_.clear();
   // Publish the backpressure signal after the commands (submits,
   // broadcasts) took effect on the engine.
-  pending_bytes_.store(engine_->pending_bytes(), std::memory_order_release);
+  pending_bytes_.store(runtime_.engine().pending_bytes(),
+                      std::memory_order_release);
 }
 
 void TcpNode::push_command(Command cmd) {
@@ -758,7 +708,7 @@ void TcpNode::stop() {
 // ---------------------------------------------------------------------------
 
 std::string TcpNode::metrics_json() {
-  obs::fill_engine_stats(metrics_, engine_->stats());
+  obs::fill_engine_stats(metrics_, runtime_.engine().stats());
   obs::fill_net_stats(metrics_, net_stats());
   if (options_.chaos) obs::fill_chaos_stats(metrics_, options_.chaos->stats());
   metrics_
@@ -818,9 +768,12 @@ std::string TcpNode::admin_body(const std::string& path, bool& ok) {
   const std::string label = "node" + std::to_string(options_.self);
   if (path == "/metrics") return metrics_prometheus();
   if (path == "/metrics.json") return metrics_json();
-  if (path == "/recorder") return recorder_.dump_json(label);
-  if (path == "/recorder.txt") return recorder_.dump_text(label);
-  if (path == "/trace") return tracer_.dump_json(label);
+  if (path == "/recorder") return recorder().dump_json(label);
+  if (path == "/recorder.txt") return recorder().dump_text(label);
+  if (path == "/trace") {
+    const obs::TraceBuffer* tracer = runtime_.tracer();
+    return tracer != nullptr ? tracer->dump_json(label) : std::string();
+  }
   if (path == "/healthz") return "ok\n";
   ok = false;
   return "unknown path: " + path +

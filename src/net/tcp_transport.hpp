@@ -43,50 +43,22 @@
 #include <tuple>
 #include <vector>
 
-#include "chaos/scenario.hpp"
-#include "core/engine.hpp"
-#include "core/failure_detector.hpp"
-#include "obs/metrics.hpp"
-#include "obs/recorder.hpp"
-#include "obs/trace.hpp"
-#include "plus/fallback_timer.hpp"
+#include "node/runtime.hpp"
 
 namespace allconcur::net {
 
-struct TcpNodeOptions {
+/// A TCP node's options: the shared node options plus its own socket
+/// fields. Its defaults: heartbeat detection on, Δhb = 25 ms and
+/// Δto = 250 ms. A Scenario::gray phase on this node is netem-style
+/// induced skew: every frame it sends is held back by the slowdown.
+struct TcpNodeOptions : node::NodeOptions {
+  TcpNodeOptions()
+      : NodeOptions(/*heartbeat_fd_default=*/true,
+                    {.period = ms(25), .timeout = ms(250)}) {}
+
   NodeId self = 0;
   std::vector<NodeId> members;        ///< initial membership
   std::uint16_t base_port = 39000;    ///< node i listens on base_port + i
-  core::GraphBuilder builder;         ///< defaults to the paper overlay
-  core::FdMode fd_mode = core::FdMode::kPerfect;
-  /// Round-pipelining window W: up to W consecutive rounds in flight
-  /// (1 = classic stop-and-wait iteration).
-  std::size_t window = 1;
-  /// Dual-digraph fast path (AllConcur+): builder for the unreliable
-  /// overlay G_U. The node then dials/accepts both overlays' links
-  /// (connections follow G_U ∪ G_R) and runs failure-free rounds
-  /// untracked over G_U. Empty = classic mode.
-  core::GraphBuilder fast_builder;
-  /// Dual mode round watchdog: an armed round stuck longer than this on
-  /// the monotonic clock triggers the fallback transition. 0 disables.
-  DurationNs fallback_timeout = 0;
-  /// Fault injection: a seeded chaos::ScenarioEngine consulted once per
-  /// outbound frame (protocol and heartbeats alike). Drops discard the
-  /// frame, duplicates queue it twice, corruption flips a wire byte (the
-  /// receiver's checksum must catch it), and delays park the frame until
-  /// its release time. A Scenario::gray phase on this node is netem-style
-  /// induced skew: every frame it sends is held back by the slowdown.
-  /// Share one engine across a cluster's nodes to replay a whole-cluster
-  /// scenario.
-  chaos::ScenarioEngineRef chaos;
-  /// Dual mode: caps how long per-frame progress can re-arm the round
-  /// watchdog (see plus::FallbackTimer). 0 = the default 8x
-  /// fallback_timeout; < 0 disables the cap.
-  DurationNs fallback_max_round_age = 0;
-  bool enable_heartbeats = true;
-  core::HeartbeatFd::Params fd_params{.period = ms(25), .timeout = ms(250),
-                                      .adaptive = false,
-                                      .max_timeout = sec(10)};
   /// SO_SNDBUF for outbound (successor) sockets; 0 keeps the OS default.
   /// Tests shrink this to force partial vectored writes (backpressure).
   int sndbuf_bytes = 0;
@@ -96,21 +68,6 @@ struct TcpNodeOptions {
   /// stay readable in-process). Consumed by tools/allconcur_inspect and
   /// tools/allconcur_trace.
   std::uint16_t admin_port = 0;
-  /// Flight-recorder ring size (events per node; rounded up to a power
-  /// of two). The ring is fixed-allocation: old events overwrite.
-  std::size_t recorder_capacity = 1024;
-  /// Master switch for round tracing. Off, every engine-side tap reduces
-  /// to one predictable branch (bench/wire_path gates the enabled-mode
-  /// overhead at <= 5%).
-  bool recorder_enabled = true;
-  /// Cross-node causal tracing (obs/trace.hpp): sample one origin round
-  /// in `trace_sample_period` (0 = off). Sampled broadcasts carry the
-  /// wire trace context; this node records recv/enqueue/send spans
-  /// stamped with the event-loop wake clock, dumped via the admin
-  /// `/trace` route and merged by tools/allconcur_trace.
-  std::uint32_t trace_sample_period = 0;
-  /// Spans retained per node (rounded up to a power of two).
-  std::size_t trace_capacity = 4096;
 };
 
 /// Wire-level transport counters (snapshot; safe to read from any thread).
@@ -158,7 +115,7 @@ class TcpNode {
   bool wait_connected(DurationNs timeout);
 
   NodeId self() const { return options_.self; }
-  const core::EngineStats& stats() const { return engine_->stats(); }
+  const core::EngineStats& stats() const { return runtime_.engine().stats(); }
   TcpNetStats net_stats() const;
   Round rounds_completed() const {
     return completed_rounds_.load(std::memory_order_acquire);
@@ -171,14 +128,10 @@ class TcpNode {
     return pending_bytes_.load(std::memory_order_acquire);
   }
 
-  /// Round flight recorder (per node). Reading it while run() is live is
+  /// Round flight recorder (per node; an empty, disabled one when
+  /// flight_recorder is off). Reading it while run() is live is
   /// inherently racy — snapshot-quality only, same caveat as stats().
-  const obs::FlightRecorder& recorder() const { return recorder_; }
-  obs::FlightRecorder& recorder() { return recorder_; }
-
-  /// Causal-trace span buffer (per node); same racy-snapshot caveat.
-  const obs::TraceBuffer& tracer() const { return tracer_; }
-  obs::TraceBuffer& tracer() { return tracer_; }
+  const obs::FlightRecorder& recorder() const;
 
   /// Refreshes the unified metrics registry from the engine / wire /
   /// chaos counters and renders it. Safe from any thread (counter reads
@@ -222,8 +175,12 @@ class TcpNode {
   bool on_admin_io(int fd, std::uint32_t events);
   /// Builds the response body for an admin GET path ("/metrics", ...).
   std::string admin_body(const std::string& path, bool& ok);
-  void dial_successors();
-  void dial(NodeId peer);
+  /// Dials every successor without an outbound link: at start each must
+  /// answer within 2 s; after a membership change, one attempt each.
+  void dial_successors(bool at_start);
+  /// Connects to `peer`, retrying every 5 ms up to `attempts` times;
+  /// false when every attempt was refused.
+  bool dial(NodeId peer, int attempts);
   void on_accept();
   void on_readable(int fd);
   void on_writable(int fd);
@@ -256,14 +213,24 @@ class TcpNode {
   void wake();
   void drain_commands();
   void update_epoll(Conn& conn);
-  void fd_tick();
 
   TcpNodeOptions options_;
   DeliverFn on_deliver_;
-  std::unique_ptr<core::Engine> engine_;
-  std::unique_ptr<core::HeartbeatFd> fd_;
-  /// Dual mode: round watchdog polled once per event-loop wake.
-  std::unique_ptr<plus::FallbackTimer> watchdog_;
+  // Observability plane. loop_now_ is the event-loop timestamp the
+  // recorder and tracer stamp events with: read when epoll_wait returns
+  // (and at the top of each iteration for the work done before sleeping),
+  // never per event (the wire path stays syscall-free).
+  obs::Registry metrics_;
+  /// Per-hop relay latency (frame parsed -> relayed, measured per
+  /// broadcast frame on the monotonic clock). Registered at construction
+  /// so the Prometheus exposition always carries it, even with trace
+  /// sampling off; its running mean is the per-hop estimate sampled
+  /// frames accumulate. Owned by metrics_; never null.
+  obs::Histogram* relay_hop_;
+  TimeNs loop_now_;
+  /// Engine, heartbeat FD, dual-mode watchdog (polled once per wake),
+  /// flight recorder and tracer.
+  node::NodeRuntime runtime_;
   /// Chaos delays: frames parked until their release time
   /// (monotonic ns), kept sorted by release time (chaos jitter varies
   /// per frame, so enqueue order is not release order).
@@ -288,20 +255,6 @@ class TcpNode {
   };
   std::map<int, AdminConn> admin_conns_;
 
-  // Observability plane. loop_now_ is the event-loop timestamp the
-  // recorder stamps events with: read when epoll_wait returns (and at the
-  // top of each iteration for the work done before sleeping), never per
-  // event (the wire path stays syscall-free).
-  obs::FlightRecorder recorder_;
-  obs::TraceBuffer tracer_;
-  obs::Registry metrics_;
-  /// Per-hop relay latency (frame parsed -> engine relay done, measured
-  /// per broadcast frame on the monotonic clock). Registered at
-  /// construction so the Prometheus exposition always carries it, even
-  /// with trace sampling off; its running mean is the per-hop estimate
-  /// sampled frames accumulate. Owned by metrics_; never null.
-  obs::Histogram* relay_hop_ = nullptr;
-  TimeNs loop_now_ = 0;
   std::uint64_t chaos_phase_mask_ = 0;  ///< last recorded phase set
 
   // Wire counters; relaxed atomics so tests can snapshot while running.

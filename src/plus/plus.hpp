@@ -15,9 +15,9 @@
 //     the ⟨UBCAST⟩/⟨FALLBACK⟩ wire protocol, the fallback transition and
 //     its FIFO relay discipline, delivered-round retention for late
 //     assists (EngineOptions::fast_builder enables it)
-//   * api/SimCluster (ClusterOptions::fast_builder / fallback_timeout)
-//     and net/TcpNode (TcpNodeOptions::fast_builder / fallback_timeout)
-//     route both overlays' links and monitor their union
+//   * node/NodeRuntime (NodeOptions::fast_builder / fallback_timeout,
+//     shared by api/SimCluster and net/TcpNode) runs the watchdog; both
+//     deployments route both overlays' links and monitor their union
 //
 // Enable on a simulated deployment:
 //

@@ -1,7 +1,9 @@
 // Umbrella header for the SMR layer: state-machine replication over
 // AllConcur's totally-ordered delivery stream.
 //
-//   smr::SimKvCluster cluster(api::ClusterOptions{.n = 5});
+//   api::ClusterOptions opt;
+//   opt.n = 5;
+//   smr::SimKvCluster cluster(opt);
 //   auto session = cluster.make_session();
 //   cluster.execute(0, session, smr::Command::put(smr::to_bytes("k"),
 //                                                 smr::to_bytes("v")));

@@ -139,6 +139,37 @@ TEST(Engine, SizeOnlyPayloadsCarrySizes) {
   EXPECT_EQ(d[0].bytes, 0u);
 }
 
+TEST(Engine, OpaqueLoadWaitsBehindAStructuredBatch) {
+  // Structured requests and size-only load pending for the same round: the
+  // round carries the structured batch alone (its declared size is its
+  // payload's, so the frame encodes), and the opaque bytes go out in the
+  // next round's broadcast.
+  LoopbackCluster c(6, gs_builder(3));
+  c.engine(4).submit(Request::of_data(bytes({1, 2, 3})));
+  c.engine(4).submit_opaque(4096);
+  for (NodeId i = 0; i < 6; ++i) c.engine(i).broadcast_now();
+  c.pump();
+  ASSERT_EQ(c.delivered(0).size(), 1u);
+  const Delivery first = c.delivered(0)[0].deliveries[4];
+  ASSERT_NE(first.payload, nullptr);
+  EXPECT_EQ(first.bytes, first.payload->size());
+  const auto batch = unpack_batch(first.payload);
+  ASSERT_TRUE(batch.has_value());
+  ASSERT_EQ(batch->size(), 1u);
+  EXPECT_EQ((*batch)[0].data, bytes({1, 2, 3}));
+  EXPECT_EQ(c.engine(4).pending_bytes(), 4096u);
+
+  for (NodeId i = 0; i < 6; ++i) c.engine(i).broadcast_now();
+  c.pump();
+  for (NodeId i = 0; i < 6; ++i) {
+    ASSERT_EQ(c.delivered(i).size(), 2u) << "server " << i;
+    const Delivery& second = c.delivered(i)[1].deliveries[4];
+    EXPECT_EQ(second.bytes, 4096u);
+    EXPECT_EQ(second.payload, nullptr);
+  }
+  EXPECT_EQ(c.engine(4).pending_bytes(), 0u);
+}
+
 TEST(Engine, WorkMatchesAnalysis) {
   // §4.1: without failures every server receives an A-broadcast message
   // from each of its d predecessors for every origin — but our relays skip

@@ -41,6 +41,9 @@ TEST(TcpDual, FastRoundsCompleteOnRealSockets) {
   TcpCluster c(5, core::FdMode::kPerfect, ms(250),
                [](TcpNodeOptions& opt) {
                  opt.fast_builder = plus::make_unreliable_builder();
+                 // No watchdog: a loaded host's slow round must not
+                 // fall back, or fallback_rounds == 0 below flakes.
+                 opt.fallback_timeout = 0;
                });
   const std::uint64_t kRounds = 10;
   std::atomic<bool> done{false};

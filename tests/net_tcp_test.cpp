@@ -169,7 +169,7 @@ TEST(TcpCluster, BackpressurePreservesFrameIntegrityAndOrder) {
   TcpCluster c(kNodes, core::FdMode::kPerfect, ms(250),
                [](TcpNodeOptions& o) {
                  o.sndbuf_bytes = 4096;
-                 o.enable_heartbeats = false;
+                 o.heartbeat_fd = false;
                });
 
   const auto blob_for = [&](NodeId node, std::uint64_t seq) {
@@ -292,6 +292,76 @@ TEST(TcpCluster, CrashDetectedByHeartbeatTimeout) {
   }
 }
 
+TEST(TcpCluster, SecondCrashAfterARemovalIsDetectedOverTheNewOverlay) {
+  // §3.2: successors detect missing heartbeats per the *current* G. Node
+  // 7's removal turns GS(8,3) into GS(7,3), whose edges the first overlay
+  // partly lacks (4->2, 5->1, 6->2). Each node must re-point its detector
+  // at the new overlay and dial its new successors: otherwise a quiet
+  // phase raises false suspicions on never-dialed links, and node 6's
+  // later crash is never detected.
+  constexpr std::size_t kNodes = 8;
+  TcpCluster c(kNodes, core::FdMode::kPerfect, /*fd_timeout=*/ms(250));
+  std::uint64_t target_rounds = 0;
+  // Drives rounds on `survivors` until `victim` is reported removed.
+  const auto drive_until_removed = [&](const std::vector<NodeId>& survivors,
+                                       NodeId victim) {
+    for (int attempt = 0; attempt < 6; ++attempt) {
+      ++target_rounds;
+      for (NodeId i : survivors) c.node(i).broadcast_now();
+      if (!c.wait_rounds(survivors, target_rounds, sec(10))) return false;
+      if (c.delivered(survivors[0]).back().removed ==
+          std::vector<NodeId>{victim}) {
+        return true;
+      }
+    }
+    return false;
+  };
+  const auto drive_rounds = [&](const std::vector<NodeId>& survivors,
+                                int rounds) {
+    for (int r = 0; r < rounds; ++r) {
+      ++target_rounds;
+      for (NodeId i : survivors) c.node(i).broadcast_now();
+      if (!c.wait_rounds(survivors, target_rounds, sec(10))) return false;
+    }
+    return true;
+  };
+  const std::vector<NodeId> seven = {0, 1, 2, 3, 4, 5, 6};
+  const std::vector<NodeId> six = {0, 1, 2, 3, 4, 5};
+
+  ASSERT_TRUE(drive_rounds({0, 1, 2, 3, 4, 5, 6, 7}, 1));
+  c.crash(7);
+  ASSERT_TRUE(drive_until_removed(seven, 7)) << "node 7 never evicted";
+  // Two rounds over GS(7,3); the last delivery orders every earlier FAIL
+  // before the counter reads below.
+  ASSERT_TRUE(drive_rounds(seven, 2));
+  const auto fails_sent = [&] {
+    std::uint64_t sum = 0;
+    for (NodeId i : seven) sum += c.node(i).stats().fail_sent;
+    return sum;
+  };
+  const std::uint64_t fails_before = fails_sent();
+  // Quiet phase: no rounds, only heartbeats, for several FD timeouts.
+  std::this_thread::sleep_for(
+      std::chrono::nanoseconds(testing::scaled(ms(1500))));
+  EXPECT_EQ(fails_sent(), fails_before)
+      << "false suspicions during the quiet phase";
+
+  c.crash(6);
+  ASSERT_TRUE(drive_until_removed(six, 6)) << "node 6 never evicted";
+  c.shutdown();
+  const auto reference = c.delivered(0);
+  for (NodeId i : six) {
+    const auto rounds = c.delivered(i);
+    ASSERT_EQ(rounds.size(), reference.size()) << "node " << i;
+    for (std::size_t r = 0; r < reference.size(); ++r) {
+      EXPECT_EQ(origins(rounds[r]), origins(reference[r]))
+          << "node " << i << " round " << r;
+      EXPECT_EQ(rounds[r].removed, reference[r].removed)
+          << "node " << i << " round " << r;
+    }
+  }
+}
+
 TEST(TcpCluster, EngineAndWireByteCountersReconcile) {
   // The documented identity (obs/schema.hpp): with heartbeats off and no
   // chaos, every byte the wire counts is either an engine-produced frame
@@ -300,7 +370,7 @@ TEST(TcpCluster, EngineAndWireByteCountersReconcile) {
   // — exactly, once the send queues flush.
   const std::size_t kNodes = 4;
   TcpCluster c(kNodes, core::FdMode::kPerfect, ms(250),
-               [](TcpNodeOptions& o) { o.enable_heartbeats = false; });
+               [](TcpNodeOptions& o) { o.heartbeat_fd = false; });
   std::vector<NodeId> all(kNodes);
   for (NodeId i = 0; i < kNodes; ++i) all[i] = i;
   for (std::uint64_t r = 0; r < 5; ++r) {
@@ -472,7 +542,7 @@ TEST(TcpCluster, EventsCarryTheWakeTimeNotTheSleepTime) {
   // when epoll_wait returns: a clock read before the sleep stamps what the
   // wake delivers with the time the loop went idle.
   TcpCluster c(3, core::FdMode::kPerfect, ms(250),
-               [](TcpNodeOptions& o) { o.enable_heartbeats = false; });
+               [](TcpNodeOptions& o) { o.heartbeat_fd = false; });
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   const TimeNs t0 = std::chrono::duration_cast<std::chrono::nanoseconds>(
                         std::chrono::steady_clock::now().time_since_epoch())
@@ -507,7 +577,7 @@ TEST(TcpCluster, FramesAheadOfFinAreParsedBeforeClose) {
   TcpCluster c(3, core::FdMode::kPerfect, ms(250),
                [&base](TcpNodeOptions& o) {
                  base = o.base_port;
-                 o.enable_heartbeats = false;
+                 o.heartbeat_fd = false;
                });
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(fd, 0);
@@ -554,7 +624,7 @@ TEST(TcpCluster, InboxStressDeliversEveryRequestOnceInProducerOrder) {
   constexpr std::uint8_t kProducers = 4;
   constexpr std::uint32_t kPerProducer = 1000;
   TcpCluster c(kNodes, core::FdMode::kPerfect, ms(250),
-               [](TcpNodeOptions& o) { o.enable_heartbeats = false; });
+               [](TcpNodeOptions& o) { o.heartbeat_fd = false; });
   std::vector<std::thread> producers;
   for (std::uint8_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&c, p] {

@@ -490,15 +490,14 @@ class ChaosGrayFallbackProperty
 TEST_P(ChaosGrayFallbackProperty, CappedWatchdogFallsBackUnderTrickle) {
   // Node 7 stays alive but delays everything by 1 ms and loses 35% — a
   // trickle that keeps bumping peers' progress counters. The capped
-  // watchdog (4x timeout) must fire anyway, and the fallback re-floods
-  // must carry the lossy rounds through.
+  // watchdog (the default cap, 8x timeout) must fire anyway, and the
+  // fallback re-floods must carry the lossy rounds through.
   auto inject = std::make_shared<chaos::ScenarioEngine>(
       testing::gray_scenario(GetParam(), 7, ms(1), 0.35));
   ClusterOptions opt;
   opt.n = 8;
   opt.fast_builder = plus::make_unreliable_builder();
   opt.fallback_timeout = ms(25);
-  opt.fallback_max_round_age = ms(100);
   opt.chaos = inject;
   SimCluster c(opt);
   std::map<NodeId, std::vector<RoundResult>> results;
