@@ -215,10 +215,10 @@ struct RoundResultBench {
   core::EngineStats node0_stats;  ///< for the --json metrics snapshot
 };
 
-/// `with_obs` wires a default-sized flight recorder (no time source) AND a
-/// causal tracer sampling 1 round in 64 into every engine — the
-/// enabled-observability configuration the ≤5% overhead gate below
-/// compares against this function's plain mode. `wire_codec` routes
+/// `with_obs` wires a default-sized flight recorder (no time source) into
+/// every engine, with causal tracing sampling 1 round in 64 into the same
+/// ring — the enabled-observability configuration the ≤5% overhead gate
+/// below compares against this function's plain mode. `wire_codec` routes
 /// every hop through the serialize → checksum-verify → copy path the TCP
 /// transport executes per frame; without it messages pass by reference
 /// (the round-state section wants the bare engine loop, the overhead gate
@@ -233,9 +233,8 @@ RoundResultBench bench_rounds(std::size_t n, std::size_t payload_bytes,
   for (std::size_t i = 0; i < n; ++i) members[i] = static_cast<NodeId>(i);
 
   std::deque<std::tuple<NodeId, NodeId, FrameRef>> queue;
-  std::vector<std::unique_ptr<obs::FlightRecorder>> recorders;
-  std::vector<std::unique_ptr<obs::TraceBuffer>> tracers;
-  // Shared hop-latency histogram: the tracer reads its running mean on
+  std::vector<std::unique_ptr<obs::FlightRecorder>> rings;
+  // Shared hop-latency histogram: the engine reads its running mean on
   // every sampled relay, so the gate pays the real estimate-stamping cost.
   static obs::Histogram hop_hist;
   std::vector<std::unique_ptr<Engine>> engines;
@@ -249,13 +248,10 @@ RoundResultBench bench_rounds(std::size_t n, std::size_t payload_bytes,
     hooks.deliver = [&delivered](const core::RoundResult&) { ++delivered; };
     Engine::Options eopts;
     if (with_obs) {
-      recorders.push_back(std::make_unique<obs::FlightRecorder>());
-      eopts.recorder = recorders.back().get();
-      tracers.push_back(std::make_unique<obs::TraceBuffer>());
-      tracers.back()->set_self(id);
-      tracers.back()->set_hop_histogram(&hop_hist);
-      eopts.tracer = tracers.back().get();
+      rings.push_back(std::make_unique<obs::FlightRecorder>());
+      eopts.recorder = rings.back().get();
       eopts.trace_sample_period = 64;
+      eopts.hop_histogram = &hop_hist;
     }
     engines.push_back(std::make_unique<Engine>(
         id, core::View(members, builder), builder, hooks, eopts));
@@ -371,19 +367,18 @@ int main(int argc, char** argv) {
              rr.allocs_per_round_per_node, rr.rounds_per_sec);
 
   // ---- Observability overhead gate (tentpole acceptance: <= 5%) ----
-  // Same engine cluster, flight recorder plus causal tracer (sampling
-  // 1/64) wired into every engine vs neither, every hop routed through
-  // the real wire path (serialize, checksum
-  // verify, payload copy) — the per-hop cost any deployment actually pays,
-  // which the bare by-reference loop above deliberately skips. Machine
-  // throughput here drifts by ~10% on 50 ms timescales, so comparing two
-  // independent best-of runs cannot resolve a small effect: instead
-  // off/on chunks run back-to-back in alternating order and the gate
-  // takes the MEDIAN of the per-pair ratios — each pair sees
-  // near-identical machine conditions, and the median discards pairs a
-  // noise spike split.
+  // Same engine cluster, one flight recorder per engine holding events
+  // and spans sampled 1/64 vs none, every hop routed through the real
+  // wire path (serialize, checksum verify, payload copy) — the per-hop
+  // cost any deployment actually pays, which the bare by-reference loop
+  // above deliberately skips. Machine throughput here drifts by ~10% on
+  // 50 ms timescales, so comparing two independent best-of runs cannot
+  // resolve a small effect: instead off/on chunks run back-to-back in
+  // alternating order and the gate takes the MEDIAN of the per-pair
+  // ratios — each pair sees near-identical machine conditions, and the
+  // median discards pairs a noise spike split.
   bench::print_title(
-      "Observability: recorder + tracer (1/64) overhead (wire path)");
+      "Observability: one event ring, spans sampled 1/64 (wire path)");
   const std::size_t obs_n = 8;
   const std::size_t obs_rounds = smoke ? 200 : 400;
   const std::size_t obs_pairs = smoke ? 56 : 64;
@@ -474,7 +469,7 @@ int main(int argc, char** argv) {
                  rr.allocs_per_round_per_node, kAllocBudget);
     return 1;
   }
-  // Enabled-mode observability (recorder + tracer at 1/64 sampling) must
+  // Enabled-mode observability (one ring, spans sampled 1/64) must
   // stay within 5% of the bare engine loop (acceptance gate; median of
   // interleaved pairs, so this holds on noisy runners too — a trip means
   // the record()/trace path grew real work).

@@ -18,8 +18,8 @@
 //             detectors, LogP models (§3, §4)
 //   sim/    — deterministic discrete-event fabric simulation (§5 testbed
 //             substitute; see DESIGN.md)
-//   node/   — NodeRuntime: one node (engine, FD, watchdog, recorder,
-//             tracer) from one NodeOptions, shared by both deployments
+//   node/   — NodeRuntime: one node (engine, FD, watchdog, one event
+//             ring) from one NodeOptions, shared by both deployments
 //   api/    — SimCluster deployments
 //   net/    — real TCP transport (epoll) for multi-process runs
 //   plus/   — the AllConcur+ dual-digraph fast path: paired ⟨G_U, G_R⟩

@@ -40,8 +40,9 @@ SimCluster::SimCluster(ClusterOptions options)
   // CI escape hatch: ALLCONCUR_TRACE_PERIOD turns sampling on for every
   // SimCluster that did not ask for it, so a red chaos run ships causal
   // traces next to its flight dumps without touching each suite. An
-  // explicit trace_sample_period always wins.
-  if (options_.trace_sample_period == 0) {
+  // explicit trace_sample_period always wins; a cluster without flight
+  // recorders has no ring for spans and stays untraced.
+  if (options_.trace_sample_period == 0 && options_.flight_recorder) {
     if (const char* p = std::getenv("ALLCONCUR_TRACE_PERIOD")) {
       const long v = std::strtol(p, nullptr, 10);
       if (v > 0) options_.trace_sample_period = static_cast<std::uint32_t>(v);
@@ -77,7 +78,7 @@ void SimCluster::create_node(NodeId id, View view, Round start_round) {
   ALLCONCUR_ASSERT(id < nodes_.size(), "node id beyond reserved slots");
   ALLCONCUR_ASSERT(!nodes_[id], "node already exists");
   nodes_[id] = std::make_unique<Node>();
-  // Recorder and tracer read the simulator's own clock on each record().
+  // The recorder reads the simulator's own clock on each record().
   const node::NodeRuntime& rt = nodes_[id]->rt.emplace(
       id, std::move(view), start_round, options_, sim_.now_ptr(),
       [this, id](NodeId dst, const FrameRef& frame) {
@@ -191,7 +192,7 @@ void SimCluster::handle_send(NodeId src, NodeId dst, const FrameRef& frame) {
       model_.sender_done(src, dst, frame->wire_size(), sim_.now());
   // Chaos delay (gray slowdown, reorder jitter): the frame arrives late.
   const TimeNs arrive = model_.arrival(done) + act.delay;
-  if (sender.rt->tracer() && node::NodeRuntime::traced_broadcast(msg)) {
+  if (sender.rt->tracing() && node::NodeRuntime::traced_broadcast(msg)) {
     // Sampled frame leaving this node: the enqueue span now, the send
     // span once the modeled serialization finishes (o_s + bytes on the
     // wire), both against the virtual clock.
@@ -250,7 +251,6 @@ void SimCluster::schedule_arrival(NodeId src, NodeId dst,
               static_cast<std::uint64_t>(obs::TripCode::kCorruptDelivered),
               src);
           obs::dump_on_trip("corrupt_delivered", recorders());
-          obs::trace_dump_on_trip("corrupt_delivered", tracers());
         }
         ++chaos_corrupt_delivered_;
         node->rt->receive(src, *parsed, sim_.now());
@@ -402,33 +402,18 @@ bool SimCluster::run_until_round_done(Round r, TimeNs deadline) {
   }
 }
 
-std::vector<std::pair<std::string, const obs::FlightRecorder*>>
+std::vector<std::pair<NodeId, const obs::FlightRecorder*>>
 SimCluster::recorders() const {
-  std::vector<std::pair<std::string, const obs::FlightRecorder*>> out;
+  std::vector<std::pair<NodeId, const obs::FlightRecorder*>> out;
   for (NodeId id = 0; id < nodes_.size(); ++id) {
-    if (!exists(id) || !nodes_[id]->rt->recorder()) continue;
-    out.emplace_back("node" + std::to_string(id),
-                     nodes_[id]->rt->recorder());
-  }
-  return out;
-}
-
-std::vector<std::pair<std::string, const obs::TraceBuffer*>>
-SimCluster::tracers() const {
-  std::vector<std::pair<std::string, const obs::TraceBuffer*>> out;
-  for (NodeId id = 0; id < nodes_.size(); ++id) {
-    if (!exists(id) || !nodes_[id]->rt->tracer()) continue;
-    out.emplace_back("node" + std::to_string(id), nodes_[id]->rt->tracer());
+    if (recorder(id) != nullptr) out.emplace_back(id, recorder(id));
   }
   return out;
 }
 
 obs::TraceMerge SimCluster::merged_trace() const {
   obs::TraceMerge merge;
-  for (NodeId id = 0; id < nodes_.size(); ++id) {
-    if (!exists(id) || !nodes_[id]->rt->tracer()) continue;
-    merge.add_spans(nodes_[id]->rt->tracer()->spans());
-  }
+  for (const auto& [id, rec] : recorders()) merge.add_spans(rec->spans(id));
   return merge;
 }
 

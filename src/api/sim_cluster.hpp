@@ -21,10 +21,10 @@ namespace allconcur::api {
 
 /// A simulated deployment's options: the shared node options plus the
 /// cluster's own. Its defaults: the perfect oracle, and the Fig. 7 timing
-/// (Δhb = 10 ms, Δto = 100 ms) once heartbeat_fd is on. A
-/// trace_sample_period left at 0 is read from ALLCONCUR_TRACE_PERIOD (CI
-/// chaos jobs set it); the chaos epoch is pinned to t = 0, so scenario
-/// phases name absolute sim times.
+/// (Δhb = 10 ms, Δto = 100 ms) once heartbeat_fd is on. With the flight
+/// recorder on, a trace_sample_period left at 0 is read from
+/// ALLCONCUR_TRACE_PERIOD (CI chaos jobs set it); the chaos epoch is
+/// pinned to t = 0, so scenario phases name absolute sim times.
 struct ClusterOptions : node::NodeOptions {
   ClusterOptions()
       : NodeOptions(/*heartbeat_fd_default=*/false,
@@ -121,26 +121,13 @@ class SimCluster {
   obs::FlightRecorder* recorder(NodeId id) {
     return exists(id) ? nodes_[id]->rt->recorder() : nullptr;
   }
-  /// (label, recorder) pairs for every existing node — the argument
+  /// (id, recorder) pairs for every existing node — the argument
   /// obs::dump_on_trip expects.
-  std::vector<std::pair<std::string, const obs::FlightRecorder*>>
-  recorders() const;
-
-  /// Per-node causal-trace span buffer (null when tracing is off or the
-  /// node does not exist).
-  const obs::TraceBuffer* tracer(NodeId id) const {
-    return exists(id) ? nodes_[id]->rt->tracer() : nullptr;
-  }
-  obs::TraceBuffer* tracer(NodeId id) {
-    return exists(id) ? nodes_[id]->rt->tracer() : nullptr;
-  }
-  /// (label, tracer) pairs for every traced node — the argument
-  /// obs::trace_dump_on_trip expects (invariant trips dump these next to
-  /// the flight dumps).
-  std::vector<std::pair<std::string, const obs::TraceBuffer*>>
-  tracers() const;
-  /// Cluster-wide merge without sockets: every node's retained spans in
-  /// one TraceMerge, ready for depth/breakdown/Chrome-JSON queries.
+  std::vector<std::pair<NodeId, const obs::FlightRecorder*>> recorders()
+      const;
+  /// Cluster-wide merge without sockets: the spans every node's recorder
+  /// retains, in one TraceMerge, ready for depth/breakdown/Chrome-JSON
+  /// queries.
   obs::TraceMerge merged_trace() const;
 
   /// Unified metrics snapshot: aggregate engine counters, chaos injection

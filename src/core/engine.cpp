@@ -271,8 +271,7 @@ void Engine::do_broadcast(RoundState& st) {
     // cumulative one-way estimate (detector word) starts at zero.
     msg.trace = Message::trace_origin_context();
     msg.detector = 0;
-    options_.tracer->record(obs::SpanKind::kOrigin, st.round, self_, self_,
-                            0, 0);
+    rec_->record_span(obs::SpanKind::kOrigin, st.round, self_, self_, 0, 0);
   }
   st.own_broadcast = true;
   st.msgs[self_rank_] = msg.payload;
@@ -493,7 +492,7 @@ void Engine::handle_bcast(NodeId from, const Message& msg, RoundState& st) {
   // valid when the relay stays on the overlay the message arrived by).
   // Counts actual sends: the skipped inbound link does not inflate the
   // counters.
-  const bool traced = options_.tracer != nullptr && msg.trace_sampled();
+  const bool traced = tracing() && msg.trace_sampled();
   if (st.fast) {
     if (traced) {
       // Sampled relay: the copy carries hop+1 and the grown cumulative
@@ -574,7 +573,7 @@ void Engine::enter_fallback(RoundState& st) {
     // The fast -> tracked handoff is a causal edge of every sampled
     // broadcast in this round: annotate it so the merged DAG shows why
     // the propagation re-entered G_R (hop field = messages held).
-    options_.tracer->record(
+    rec_->record_span(
         obs::SpanKind::kFallback, st.round, self_, self_,
         static_cast<std::uint8_t>(
             st.have_count > Message::kTraceHopMask ? Message::kTraceHopMask
@@ -652,8 +651,8 @@ void Engine::handle_fallback(NodeId from, const Message& msg,
   if (st.fast && trace_sampled_round(msg.round)) {
     // Explicit DAG edge: the peer's trigger is what pushes this node's
     // sampled round off the fast path (peer = the trigger's initiator).
-    options_.tracer->record(obs::SpanKind::kFallback, msg.round, self_,
-                            msg.origin, 0, msg.detector);
+    rec_->record_span(obs::SpanKind::kFallback, msg.round, self_, msg.origin,
+                      0, msg.detector);
   }
   const std::uint32_t attempt = msg.detector;
   if (st.fallback_relayed && attempt <= st.fallback_attempt) {

@@ -160,20 +160,22 @@ struct EngineOptions {
   /// Observability tap (may be null — the hot path then pays one
   /// predictable branch per would-be event). The engine records round
   /// lifecycle events (open/broadcast/receive/complete/fallback/deliver,
-  /// drops, parks, suspicions) against the recorder, which the owning
-  /// deployment timestamps via its clock (FlightRecorder::
-  /// set_time_source). Not owned.
+  /// drops, parks, suspicions) and, when tracing, its causal-trace spans
+  /// against the recorder, which the owning deployment timestamps via its
+  /// clock (FlightRecorder::set_time_source). Not owned.
   obs::FlightRecorder* recorder = nullptr;
-  /// Cross-node causal tracer (may be null; see obs/trace.hpp). The
+  /// Cross-node causal tracing (obs/trace.hpp; needs the recorder):
+  /// sample one A-broadcast origin round in `trace_sample_period` (0 =
+  /// tracing off). Round-number based, so every origin samples the same
+  /// rounds and a sampled round's full propagation DAG is captured. The
   /// engine stamps sampled origins (trace context in the frame header),
   /// increments the hop count and the cumulative one-way estimate at
-  /// every relay, and records its process spans against this buffer.
-  /// Not owned.
-  obs::TraceBuffer* tracer = nullptr;
-  /// Sample one A-broadcast origin round in `trace_sample_period` (0 =
-  /// tracing off). Round-number based, so every origin samples the same
-  /// rounds and a sampled round's full propagation DAG is captured.
+  /// every relay, and records its origin/process/fallback spans.
   std::uint32_t trace_sample_period = 0;
+  /// The deployment's per-hop relay latency histogram (may be null): its
+  /// mean is the one-hop estimate sampled relays add to the frame's
+  /// cumulative estimate (obs::hop_estimate_ns). Not owned.
+  const obs::Histogram* hop_histogram = nullptr;
 };
 
 class Engine {
@@ -412,22 +414,25 @@ class Engine {
     if (rec_ != nullptr) rec_->record(k, r, a, b);
   }
 
-  /// Causal-tracer helpers (obs/trace.hpp). trace_sampled_round answers
-  /// whether a fresh origin broadcast in round r should carry the trace
-  /// context; trace_relay mutates an in-flight copy of a sampled message
-  /// for its next hop (hop count +1, cumulative estimate += this node's
-  /// per-hop estimate) and records the process span.
+  /// Causal-tracer helpers (obs/trace.hpp). tracing() is true when spans
+  /// have a ring to go into and sampling is on; trace_sampled_round
+  /// answers whether a fresh origin broadcast in round r should carry the
+  /// trace context; trace_relay mutates an in-flight copy of a sampled
+  /// message for its next hop (hop count +1, cumulative estimate += this
+  /// node's per-hop estimate) and records the process span.
+  bool tracing() const {
+    return rec_ != nullptr && options_.trace_sample_period != 0;
+  }
   bool trace_sampled_round(Round r) const {
-    return options_.tracer != nullptr && options_.trace_sample_period != 0 &&
-           r % options_.trace_sample_period == 0;
+    return tracing() && r % options_.trace_sample_period == 0;
   }
   void trace_relay(Message& out, NodeId from) {
     out.trace = Message::trace_relay_context(out.trace);
-    const std::uint32_t step = options_.tracer->hop_estimate_ns();
+    const std::uint32_t step = obs::hop_estimate_ns(options_.hop_histogram);
     const std::uint32_t est = out.detector;
     out.detector = est > 0xffffffffu - step ? 0xffffffffu : est + step;
-    options_.tracer->record(obs::SpanKind::kProcess, out.round, out.origin,
-                            from, out.trace_hop(), out.detector);
+    rec_->record_span(obs::SpanKind::kProcess, out.round, out.origin, from,
+                      out.trace_hop(), out.detector);
   }
 
   NodeId self_;

@@ -771,8 +771,7 @@ std::string TcpNode::admin_body(const std::string& path, bool& ok) {
   if (path == "/recorder") return recorder().dump_json(label);
   if (path == "/recorder.txt") return recorder().dump_text(label);
   if (path == "/trace") {
-    const obs::TraceBuffer* tracer = runtime_.tracer();
-    return tracer != nullptr ? tracer->dump_json(label) : std::string();
+    return recorder().dump_spans_json(label, options_.self);
   }
   if (path == "/healthz") return "ok\n";
   ok = false;

@@ -217,7 +217,7 @@ class TcpNode {
   TcpNodeOptions options_;
   DeliverFn on_deliver_;
   // Observability plane. loop_now_ is the event-loop timestamp the
-  // recorder and tracer stamp events with: read when epoll_wait returns
+  // recorder stamps events and spans with: read when epoll_wait returns
   // (and at the top of each iteration for the work done before sleeping),
   // never per event (the wire path stays syscall-free).
   obs::Registry metrics_;
@@ -228,8 +228,8 @@ class TcpNode {
   /// frames accumulate. Owned by metrics_; never null.
   obs::Histogram* relay_hop_;
   TimeNs loop_now_;
-  /// Engine, heartbeat FD, dual-mode watchdog (polled once per wake),
-  /// flight recorder and tracer.
+  /// Engine, heartbeat FD, dual-mode watchdog (polled once per wake) and
+  /// flight recorder.
   node::NodeRuntime runtime_;
   /// Chaos delays: frames parked until their release time
   /// (monotonic ns), kept sorted by release time (chaos jitter varies

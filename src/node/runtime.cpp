@@ -1,5 +1,7 @@
 #include "node/runtime.hpp"
 
+#include "common/assert.hpp"
+
 namespace allconcur::node {
 
 NodeRuntime::NodeRuntime(NodeId self, core::View view, Round start_round,
@@ -11,19 +13,17 @@ NodeRuntime::NodeRuntime(NodeId self, core::View view, Round start_round,
   eopts.fd_mode = options.fd_mode;
   eopts.window = options.window;
   eopts.fast_builder = options.fast_builder;
+  ALLCONCUR_ASSERT(options.trace_sample_period == 0 || options.flight_recorder,
+                   "trace_sample_period != 0 needs flight_recorder: causal-"
+                   "trace spans are kept in the flight recorder");
   if (options.flight_recorder) {
     recorder_.emplace(options.recorder_capacity, /*enabled=*/true);
     recorder_->set_time_source(clock);
     eopts.recorder = &*recorder_;
   }
-  if (options.trace_sample_period != 0) {
-    tracer_.emplace(options.trace_capacity, /*enabled=*/true);
-    tracer_->set_time_source(clock);
-    tracer_->set_self(self);
-    tracer_->set_hop_histogram(hop_histogram);
-    eopts.tracer = &*tracer_;
-    eopts.trace_sample_period = options.trace_sample_period;
-  }
+  tracing_ = options.trace_sample_period != 0;
+  eopts.trace_sample_period = options.trace_sample_period;
+  eopts.hop_histogram = hop_histogram;
   core::Engine::Hooks hooks;
   hooks.send = send;
   hooks.deliver = [this](const core::RoundResult& r) { on_deliver(r); };

@@ -2,13 +2,14 @@
 //
 // It builds and wires, from one NodeOptions, the protocol engine, the
 // optional heartbeat failure detector (§3.2), the optional dual-mode round
-// watchdog, the flight recorder and the causal tracer. The harness —
+// watchdog and the flight recorder — the node's one observability ring,
+// which also holds the causal tracer's spans. The harness —
 // api::SimCluster on the virtual clock, net::TcpNode on an epoll loop —
 // donates a clock, a send sink and a deliver callback, and keeps the
 // fabric or socket send, the chaos verdict, crash/activation state and its
 // relay-latency metric. The send sink is the engine's and the detector's
-// send hook as is (one type-erased call per frame), and the recorder and
-// tracer exist only when switched on.
+// send hook as is (one type-erased call per frame), and the recorder
+// exists only when switched on.
 #pragma once
 
 #include <functional>
@@ -19,7 +20,6 @@
 #include "core/failure_detector.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
-#include "obs/trace.hpp"
 #include "plus/fallback_timer.hpp"
 
 namespace allconcur::node {
@@ -57,15 +57,15 @@ struct NodeOptions {
   /// engine tap reduces to one predictable branch (bench/round_pipeline
   /// and bench/wire_path gate the enabled-mode overhead at <= 5%).
   bool flight_recorder = true;
-  /// Events retained per node (rounded up to a power of two).
+  /// Events and sampled spans retained per node (rounded up to a power of
+  /// two).
   std::size_t recorder_capacity = 1024;
   /// Cross-node causal tracing (obs/trace.hpp): sample one origin round
-  /// in `trace_sample_period` (0 = off: no span buffer). Sampled
-  /// broadcasts carry the wire trace context; tools/allconcur_trace
+  /// in `trace_sample_period` (0 = off: no spans). Sampled broadcasts
+  /// carry the wire trace context and their spans go into the flight
+  /// recorder, so tracing requires flight_recorder; tools/allconcur_trace
   /// merges the nodes' spans.
   std::uint32_t trace_sample_period = 0;
-  /// Spans retained per node (rounded up to a power of two).
-  std::size_t trace_capacity = 4096;
 
  protected:
   NodeOptions(bool heartbeat_fd_default,
@@ -78,7 +78,7 @@ class NodeRuntime {
   using SendFn = std::function<void(NodeId dst, const core::FrameRef& frame)>;
   using DeliverFn = std::function<void(const core::RoundResult&)>;
 
-  /// `clock` is read for recorder and tracer timestamps and for detector
+  /// `clock` is read for recorder timestamps and for detector
   /// re-peering; it must outlive the runtime. `hop_histogram` (may be
   /// null) is the harness's per-hop latency histogram, whose mean sampled
   /// relays accumulate into the frame's one-way estimate.
@@ -98,10 +98,8 @@ class NodeRuntime {
   const obs::FlightRecorder* recorder() const {
     return recorder_ ? &*recorder_ : nullptr;
   }
-  obs::TraceBuffer* tracer() { return tracer_ ? &*tracer_ : nullptr; }
-  const obs::TraceBuffer* tracer() const {
-    return tracer_ ? &*tracer_ : nullptr;
-  }
+  /// True iff causal-trace spans are recorded (trace sampling is on).
+  bool tracing() const { return tracing_; }
   bool has_fd() const { return fd_.has_value(); }
   bool has_watchdog() const { return watchdog_.has_value(); }
 
@@ -124,9 +122,9 @@ class NodeRuntime {
   /// Records span `kind` for `msg` toward/from link peer `peer` if it is
   /// a sampled broadcast and tracing is on.
   void trace(obs::SpanKind kind, const core::Message& msg, NodeId peer) {
-    if (tracer_ && traced_broadcast(msg)) {
-      tracer_->record(kind, msg.round, msg.origin, peer, msg.trace_hop(),
-                      msg.detector);
+    if (tracing_ && traced_broadcast(msg)) {
+      recorder_->record_span(kind, msg.round, msg.origin, peer,
+                             msg.trace_hop(), msg.detector);
     }
   }
 
@@ -140,7 +138,7 @@ class NodeRuntime {
   const TimeNs* clock_;
   DeliverFn deliver_;
   std::optional<obs::FlightRecorder> recorder_;
-  std::optional<obs::TraceBuffer> tracer_;
+  bool tracing_ = false;
   std::optional<core::Engine> engine_;
   std::optional<core::HeartbeatFd> fd_;
   std::optional<plus::FallbackTimer> watchdog_;

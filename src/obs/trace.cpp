@@ -1,115 +1,17 @@
 #include "obs/trace.hpp"
 
-#include <sys/stat.h>
-
 #include <algorithm>
-#include <bit>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <tuple>
 
 namespace allconcur::obs {
 
-const char* span_name(SpanKind k) {
-  switch (k) {
-    case SpanKind::kOrigin: return "origin";
-    case SpanKind::kRecv: return "recv";
-    case SpanKind::kProcess: return "process";
-    case SpanKind::kEnqueue: return "enqueue";
-    case SpanKind::kSend: return "send";
-    case SpanKind::kFallback: return "fallback";
-  }
-  return "unknown";
-}
-
-TraceBuffer::TraceBuffer(std::size_t capacity, bool enabled)
-    : enabled_(enabled) {
-  if (capacity < 2) capacity = 2;
-  capacity = std::bit_ceil(capacity);
-  ring_.resize(capacity);
-  mask_ = capacity - 1;
-}
-
-std::vector<Span> TraceBuffer::spans() const {
-  std::vector<Span> out;
-  const std::uint64_t n = head_ < ring_.size()
-                              ? head_
-                              : static_cast<std::uint64_t>(ring_.size());
-  out.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t seq = head_ - n; seq < head_; ++seq) {
-    const Slot& s = ring_[seq & mask_];
-    Span sp;
-    sp.seq = seq;
-    sp.t = s.t;
-    sp.round = s.rk & kRoundMask;
-    sp.kind = static_cast<SpanKind>(s.rk >> kKindShift);
-    sp.node = self_;
-    sp.origin = static_cast<NodeId>(s.a >> 32);
-    sp.peer = static_cast<NodeId>(s.a & 0xffffffffu);
-    sp.hop = static_cast<std::uint8_t>(s.b >> 32);
-    sp.est_ns = static_cast<std::uint32_t>(s.b & 0xffffffffu);
-    out.push_back(sp);
-  }
-  return out;
-}
-
-std::vector<Span> TraceBuffer::spans_for_round(Round r) const {
-  std::vector<Span> out;
-  for (const Span& s : spans()) {
-    if (s.round == r) out.push_back(s);
-  }
-  return out;
-}
-
-std::string TraceBuffer::dump_json(const std::string& label) const {
-  std::string out;
-  char line[320];
-  for (const Span& s : spans()) {
-    std::snprintf(line, sizeof(line),
-                  "{\"node\": \"%s\", \"id\": %llu, \"seq\": %llu, "
-                  "\"t\": %lld, \"round\": %llu, \"span\": \"%s\", "
-                  "\"origin\": %llu, \"peer\": %llu, \"hop\": %u, "
-                  "\"est\": %llu}\n",
-                  label.c_str(), static_cast<unsigned long long>(s.node),
-                  static_cast<unsigned long long>(s.seq),
-                  static_cast<long long>(s.t),
-                  static_cast<unsigned long long>(s.round),
-                  span_name(s.kind),
-                  static_cast<unsigned long long>(s.origin),
-                  static_cast<unsigned long long>(s.peer),
-                  static_cast<unsigned>(s.hop),
-                  static_cast<unsigned long long>(s.est_ns));
-    out += line;
-  }
-  return out;
-}
-
-std::vector<std::string> trace_dump_on_trip(
-    const std::string& reason,
-    const std::vector<std::pair<std::string, const TraceBuffer*>>& nodes) {
-  std::vector<std::string> written;
-  const char* dir = std::getenv("ALLCONCUR_FLIGHT_DIR");
-  if (dir == nullptr || dir[0] == '\0') return written;
-  ::mkdir(dir, 0755);  // best effort, same single level as dump_on_trip
-  for (const auto& [label, tb] : nodes) {
-    if (tb == nullptr || !tb->enabled() || tb->size() == 0) continue;
-    const std::string path =
-        std::string(dir) + "/trace_" + reason + "_" + label + ".jsonl";
-    if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-      const std::string dump = tb->dump_json(label);
-      std::fwrite(dump.data(), 1, dump.size(), f);
-      std::fclose(f);
-      written.push_back(path);
-    }
-  }
-  if (!written.empty()) {
-    std::fprintf(stderr,
-                 "causal-trace dumps written to %s (%zu files) — merge "
-                 "with allconcur_trace --in\n",
-                 dir, written.size());
-  }
-  return written;
+std::uint32_t hop_estimate_ns(const Histogram* hop_histogram) {
+  if (hop_histogram == nullptr) return 0;
+  const double m = hop_histogram->mean();
+  constexpr double kMax = 4294967295.0;
+  return m >= kMax ? 0xffffffffu : static_cast<std::uint32_t>(m);
 }
 
 // ---------------------------------------------------------------------------

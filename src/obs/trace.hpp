@@ -1,15 +1,15 @@
 // Cross-node causal tracer: sampled A-broadcasts carry a compact trace
 // context on the wire (core/message.hpp: header byte 1 = sampled flag +
 // hop count, the detector word = cumulative one-way estimate), and every
-// node records fixed-size span events as the broadcast crosses it —
-// recv -> process -> enqueue -> send, stamped from the deployment's
-// donated time source with the same no-lock/no-alloc ring discipline as
-// the flight recorder.
+// node records fixed-size spans as the broadcast crosses it —
+// recv -> process -> enqueue -> send — into its flight recorder
+// (obs/recorder.hpp: FlightRecorder::record_span), the same ring and
+// sequence as its round-lifecycle events.
 //
-// Where the recorder answers "what did THIS node do in round R", the
-// tracer answers "what path did THIS broadcast take across the overlay":
-// merging every node's span dump (admin `/trace`, or SimCluster
-// accessors) reconstructs the round's propagation DAG, its empirical
+// Where the events answer "what did THIS node do in round R", the spans
+// answer "what path did THIS broadcast take across the overlay": merging
+// every node's span dump (admin `/trace`, or SimCluster::merged_trace)
+// reconstructs the round's propagation DAG, its empirical
 // depth D-hat, the per-hop latency breakdown (queue wait vs serialize vs
 // wire vs process), and the critical path — the measured counterpart of
 // the paper's analytic 2(L + o_s + o)·D bound (§4.2).
@@ -19,140 +19,19 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
 #include "obs/metrics.hpp"
+#include "obs/recorder.hpp"
 
 namespace allconcur::obs {
 
-/// One phase of a broadcast's passage through a node. Every span of one
-/// (round, origin) broadcast shares those two correlation keys; `hop` is
-/// the frame's out-hop at that node (origin = 0, each relay +1), except
-/// for kRecv, which records the in-hop of the arriving frame.
-enum class SpanKind : std::uint8_t {
-  kOrigin,    ///< sampled broadcast born here; peer = self, hop = 0
-  kRecv,      ///< transport accepted a sampled frame; peer = sender,
-              ///< hop = the arriving frame's hop
-  kProcess,   ///< engine relayed the broadcast; peer = sender,
-              ///< hop = out-hop of the relayed frame
-  kEnqueue,   ///< frame queued toward peer (out-hop)
-  kSend,      ///< frame handed to the wire toward peer (out-hop)
-  kFallback,  ///< fast -> tracked handoff of a traced round; peer = the
-              ///< fallback initiator — the DAG edge explaining why the
-              ///< broadcast re-entered the reliable overlay
-};
-
-const char* span_name(SpanKind k);
-
-/// Read-path view of one recorded span. `node` is the recording node —
-/// filled by TraceBuffer::spans() (self id) and by the merge parser.
-struct Span {
-  std::uint64_t seq = 0;
-  TimeNs t = 0;
-  Round round = 0;
-  SpanKind kind = SpanKind::kOrigin;
-  NodeId node = kInvalidNode;
-  NodeId origin = kInvalidNode;
-  NodeId peer = kInvalidNode;
-  std::uint8_t hop = 0;
-  std::uint32_t est_ns = 0;  ///< cumulative one-way estimate on the frame
-};
-
-/// Per-node span ring: identical hot-path discipline to FlightRecorder —
-/// one inline branch when disabled, a 32-byte aligned ring store when
-/// enabled, no locks, no allocation, clock read through a donated pointer.
-class TraceBuffer {
- public:
-  /// `capacity` rounds up to a power of two. A traced broadcast costs
-  /// ~2 + out-degree spans per node it crosses; the default keeps tens of
-  /// sampled rounds of history at d <= 4.
-  explicit TraceBuffer(std::size_t capacity = 2048, bool enabled = true);
-
-  bool enabled() const { return enabled_; }
-  void set_enabled(bool on) { enabled_ = on; }
-
-  /// Donates the clock (see FlightRecorder::set_time_source).
-  void set_time_source(const TimeNs* t) { time_src_ = t; }
-  TimeNs now() const { return time_src_ ? *time_src_ : 0; }
-
-  /// The recording node's rank, stamped into spans() and dump_json().
-  void set_self(NodeId id) { self_ = id; }
-  NodeId self() const { return self_; }
-
-  /// Donates the deployment's per-hop relay latency histogram (the
-  /// registry metric that stays live even when sampling is off). Its
-  /// running mean is the node's local one-hop estimate, added to the
-  /// frame's cumulative estimate at every relay.
-  void set_hop_histogram(const Histogram* h) { hop_hist_ = h; }
-  std::uint32_t hop_estimate_ns() const {
-    if (hop_hist_ == nullptr) return 0;
-    const double m = hop_hist_->mean();
-    constexpr double kMax = 4294967295.0;
-    return m >= kMax ? 0xffffffffu : static_cast<std::uint32_t>(m);
-  }
-
-  void record(SpanKind k, Round r, NodeId origin, NodeId peer,
-              std::uint8_t hop, std::uint32_t est_ns) {
-    if (!enabled_) return;
-    Slot& s = ring_[head_ & mask_];
-    s.t = time_src_ ? *time_src_ : 0;
-    s.rk = (static_cast<std::uint64_t>(k) << kKindShift) | (r & kRoundMask);
-    s.a = (static_cast<std::uint64_t>(origin) << 32) | peer;
-    s.b = (static_cast<std::uint64_t>(hop) << 32) | est_ns;
-    ++head_;
-  }
-
-  std::size_t capacity() const { return ring_.size(); }
-  std::size_t size() const {
-    return head_ < ring_.size() ? static_cast<std::size_t>(head_)
-                                : ring_.size();
-  }
-  std::uint64_t dropped() const {
-    return head_ < ring_.size() ? 0 : head_ - ring_.size();
-  }
-  std::uint64_t total_recorded() const { return head_; }
-
-  /// Retained spans, oldest first, `node` = self().
-  std::vector<Span> spans() const;
-  std::vector<Span> spans_for_round(Round r) const;
-
-  /// JSON-lines dump, one span per line; the admin `/trace` body and the
-  /// input format of TraceMerge::add_dump / tools/allconcur_trace.
-  std::string dump_json(const std::string& label) const;
-
-  void clear() { head_ = 0; }
-
- private:
-  static constexpr unsigned kKindShift = 56;
-  static constexpr std::uint64_t kRoundMask = (std::uint64_t{1} << 56) - 1;
-  struct alignas(32) Slot {
-    TimeNs t = 0;
-    std::uint64_t rk = 0;  ///< kind << 56 | round
-    std::uint64_t a = 0;   ///< origin << 32 | peer
-    std::uint64_t b = 0;   ///< hop << 32 | est_ns
-  };
-  static_assert(sizeof(Slot) == 32);
-
-  std::vector<Slot> ring_;
-  std::uint64_t mask_;
-  std::uint64_t head_ = 0;
-  bool enabled_;
-  NodeId self_ = kInvalidNode;
-  const TimeNs* time_src_ = nullptr;
-  const Histogram* hop_hist_ = nullptr;
-};
-
-/// Postmortem companion to obs::dump_on_trip: writes each node's span
-/// dump to `$ALLCONCUR_FLIGHT_DIR/trace_<reason>_<label>.jsonl` (same
-/// directory the flight dumps land in, so one CI artifact carries both;
-/// tools/allconcur_trace --in merges the files). Nodes whose tracer is
-/// null, disabled, or empty are skipped. Returns the paths written —
-/// empty when the env var is unset.
-std::vector<std::string> trace_dump_on_trip(
-    const std::string& reason,
-    const std::vector<std::pair<std::string, const TraceBuffer*>>& nodes);
+/// A node's local one-hop estimate: the running mean of the deployment's
+/// per-hop relay latency histogram (the registry metric that stays live
+/// even when sampling is off), saturated to 32 bits; 0 without one. Every
+/// sampled relay adds it to the frame's cumulative one-way estimate.
+std::uint32_t hop_estimate_ns(const Histogram* hop_histogram);
 
 // ---------------------------------------------------------------------------
 // Merge + analysis: per-node dumps -> the round's propagation DAG.
@@ -192,10 +71,12 @@ struct TraceBreakdown {
 /// Merges per-node span streams and reconstructs the propagation DAG.
 class TraceMerge {
  public:
-  /// Spans from a TraceBuffer (node already filled) or a parsed dump.
+  /// Spans from FlightRecorder::spans (node already filled) or a parsed
+  /// dump.
   void add_spans(const std::vector<Span>& spans);
-  /// Parses a dump_json() JSONL blob; returns spans accepted. Lines that
-  /// do not parse are skipped (a merge of truncated dumps still works).
+  /// Parses a FlightRecorder::dump_spans_json() JSONL blob; returns spans
+  /// accepted. Lines that do not parse are skipped (a merge of truncated
+  /// dumps still works).
   std::size_t add_dump(std::string_view jsonl);
 
   const std::vector<Span>& spans() const { return spans_; }

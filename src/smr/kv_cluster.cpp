@@ -5,7 +5,6 @@
 
 #include "common/assert.hpp"
 #include "obs/recorder.hpp"
-#include "obs/trace.hpp"
 
 namespace allconcur::smr {
 namespace {
@@ -130,7 +129,6 @@ void SimKvCluster::apply_to(NodeId who, const core::RoundResult& result) {
                   who);
     }
     obs::dump_on_trip("smr_hash_divergence", cluster_.recorders());
-    obs::trace_dump_on_trip("smr_hash_divergence", cluster_.tracers());
     if (on_divergence) {
       on_divergence(who, result.round);
       return;

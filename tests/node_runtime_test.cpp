@@ -1,6 +1,7 @@
 // NodeRuntime and NodeOptions: the defaults both deployments rely on, and
-// the runtime's own wiring — only the switched-on parts exist, and a
-// membership change re-points the heartbeat detector.
+// the runtime's own wiring — only the switched-on parts exist, tracing
+// without a flight recorder is refused, and a membership change re-points
+// the heartbeat detector.
 #include "node/runtime.hpp"
 
 #include <gtest/gtest.h>
@@ -102,7 +103,7 @@ TEST(NodeRuntime, BuildsOnlyWhatTheOptionsSwitchOn) {
   off.flight_recorder = false;
   RuntimeRing bare(3, off);
   EXPECT_EQ(bare.node(0).recorder(), nullptr);
-  EXPECT_EQ(bare.node(0).tracer(), nullptr);
+  EXPECT_FALSE(bare.node(0).tracing());
   EXPECT_FALSE(bare.node(0).has_fd());
   EXPECT_FALSE(bare.node(0).has_watchdog());
 
@@ -112,9 +113,18 @@ TEST(NodeRuntime, BuildsOnlyWhatTheOptionsSwitchOn) {
   on.fast_builder = plus::make_unreliable_builder();
   RuntimeRing full(3, on);
   EXPECT_NE(full.node(0).recorder(), nullptr);
-  EXPECT_NE(full.node(0).tracer(), nullptr);
+  EXPECT_TRUE(full.node(0).tracing());
   EXPECT_TRUE(full.node(0).has_fd());
   EXPECT_TRUE(full.node(0).has_watchdog());
+}
+
+TEST(NodeRuntimeDeathTest, TracingWithoutTheRecorderIsRefused) {
+  // Spans live in the flight recorder: sampling with no ring to keep them
+  // is an option error, refused at construction.
+  api::ClusterOptions o;
+  o.flight_recorder = false;
+  o.trace_sample_period = 4;
+  EXPECT_DEATH(RuntimeRing(1, o), "needs flight_recorder");
 }
 
 TEST(NodeRuntime, MembershipChangeRepeersTheDetector) {

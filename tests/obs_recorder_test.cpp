@@ -1,11 +1,13 @@
 // obs_recorder_test: the round flight recorder — ring semantics
-// (power-of-two rounding, wraparound, monotone seq), per-round timelines
-// on a live simulated cluster, and the auto-dump-on-trip path exercised
-// end to end by forcing an SMR hash-guard divergence.
+// (power-of-two rounding, wraparound, monotone seq), events and causal-
+// trace spans sharing the one ring, per-round timelines on a live
+// simulated cluster, and the auto-dump-on-trip path exercised end to end
+// by forcing an SMR hash-guard divergence.
 #include "obs/recorder.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <optional>
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "api/sim_cluster.hpp"
+#include "obs/trace.hpp"
 #include "smr/command.hpp"
 #include "smr/kv_cluster.hpp"
 
@@ -152,6 +155,7 @@ TEST(FlightRecorder, DisabledRecordsNothingAndClearResets) {
   FlightRecorder rec(16, /*enabled=*/false);
   EXPECT_FALSE(rec.enabled());
   rec.record(EventKind::kRoundOpen, 0);
+  rec.record_span(SpanKind::kOrigin, 0, 0, 0, 0, 0);
   EXPECT_EQ(rec.total_recorded(), 0u);
 
   rec.set_enabled(true);
@@ -181,6 +185,63 @@ TEST(FlightRecorder, DumpsCarryLabelAndEventNames) {
   EXPECT_NE(json.find("\"event\": \"bcast_sent\""), std::string::npos);
   // One object per line (JSONL).
   EXPECT_EQ(std::count(json.begin(), json.end(), '\n'), 2);
+}
+
+TEST(FlightRecorder, EventsAndSpansShareOneRing) {
+  // E = event, S = span, interleaved in one 8-slot ring; record i carries
+  // i in its a-field (event) or est_ns (span).
+  const std::string order = "SEESESSESE";
+  FlightRecorder rec(8);
+  const auto put = [&rec](char kind, std::uint64_t i) {
+    if (kind == 'E') {
+      rec.record(EventKind::kMsgRecv, i, i);
+    } else {
+      rec.record_span(SpanKind::kSend, i, 0, 1, 0,
+                      static_cast<std::uint32_t>(i));
+    }
+  };
+  for (std::uint64_t i = 0; i < order.size(); ++i) put(order[i], i);
+  // The two oldest slots — one span, one event — were overwritten.
+  EXPECT_EQ(rec.total_recorded(), 10u);
+  EXPECT_EQ(rec.size(), 8u);
+  EXPECT_EQ(rec.dropped(), 2u);
+
+  const auto check = [&rec, &order](std::uint64_t first_seq) {
+    std::vector<std::uint64_t> seqs;
+    std::optional<std::uint64_t> prev;
+    for (const Event& e : rec.events()) {
+      EXPECT_EQ(order[e.seq], 'E') << "seq " << e.seq;
+      EXPECT_EQ(e.kind, EventKind::kMsgRecv);
+      EXPECT_EQ(e.a, e.seq);
+      if (prev) EXPECT_GT(e.seq, *prev);
+      prev = e.seq;
+      seqs.push_back(e.seq);
+    }
+    prev.reset();
+    for (const Span& sp : rec.spans(/*self=*/5)) {
+      EXPECT_EQ(order[sp.seq], 'S') << "seq " << sp.seq;
+      EXPECT_EQ(sp.kind, SpanKind::kSend);
+      EXPECT_EQ(sp.node, 5u);
+      EXPECT_EQ(sp.est_ns, sp.seq);
+      if (prev) EXPECT_GT(sp.seq, *prev);
+      prev = sp.seq;
+      seqs.push_back(sp.seq);
+    }
+    // Together the two kinds are exactly the retained window: one seq per
+    // slot, none shared, none missing.
+    std::sort(seqs.begin(), seqs.end());
+    ASSERT_EQ(seqs.size(), rec.size());
+    for (std::size_t i = 0; i < seqs.size(); ++i) {
+      EXPECT_EQ(seqs[i], first_seq + i);
+    }
+  };
+  check(/*first_seq=*/2);
+
+  // One more span evicts the oldest retained slot, an event this time.
+  rec.record_span(SpanKind::kSend, 10, 0, 1, 0, 10);
+  EXPECT_EQ(rec.dropped(), 3u);
+  EXPECT_EQ(rec.events().front().seq, 4u);
+  EXPECT_EQ(rec.spans(5).back().seq, 10u);
 }
 
 // ---------------------------------------------------------------------------
@@ -300,8 +361,7 @@ TEST(FlightDump, DumpOnTripWritesOneFilePerRecorder) {
   b.record(EventKind::kInvariantTrip, 5,
            static_cast<std::uint64_t>(TripCode::kPropertyViolation));
 
-  const auto written =
-      dump_on_trip("unit_trip", {{"node0", &a}, {"node1", &b}});
+  const auto written = dump_on_trip("unit_trip", {{0, &a}, {1, &b}});
   ASSERT_EQ(written.size(), 2u);
   EXPECT_EQ(written[0], guard.dir() + "/flight_unit_trip_node0.jsonl");
   EXPECT_NE(slurp(written[0]).find("\"event\": \"delivered\""),
@@ -310,11 +370,40 @@ TEST(FlightDump, DumpOnTripWritesOneFilePerRecorder) {
             std::string::npos);
 }
 
+TEST(FlightDump, RingWithSpansAlsoYieldsATraceFile) {
+  FlightDirGuard guard;
+  FlightRecorder traced(16), plain(16);
+  traced.record(EventKind::kRoundOpen, 3);
+  traced.record_span(SpanKind::kOrigin, 3, 0, 0, 0, 0);
+  traced.record_span(SpanKind::kSend, 3, 0, 1, 0, 500);
+  plain.record(EventKind::kDelivered, 3);
+
+  const auto written = dump_on_trip("unit_trip", {{0, &traced}, {1, &plain}});
+  // The traced ring yields both files; the span-free ring only its
+  // flight file.
+  ASSERT_EQ(written.size(), 3u);
+  EXPECT_EQ(written[0], guard.dir() + "/flight_unit_trip_node0.jsonl");
+  EXPECT_EQ(written[1], guard.dir() + "/trace_unit_trip_node0.jsonl");
+  EXPECT_EQ(written[2], guard.dir() + "/flight_unit_trip_node1.jsonl");
+
+  // The flight file holds the events only; the trace file round-trips
+  // through the parser allconcur_trace uses, stamped with the node id.
+  const std::string flight = slurp(written[0]);
+  EXPECT_NE(flight.find("\"event\": \"round_open\""), std::string::npos);
+  EXPECT_EQ(std::count(flight.begin(), flight.end(), '\n'), 1);
+  TraceMerge merge;
+  EXPECT_EQ(merge.add_dump(slurp(written[1])), 2u);
+  EXPECT_EQ(merge.spans()[1].node, 0u);
+  EXPECT_EQ(merge.spans()[1].kind, SpanKind::kSend);
+  EXPECT_EQ(merge.spans()[1].est_ns, 500u);
+}
+
 TEST(FlightDump, WithoutDumpDirOnlyStderrTailIsEmitted) {
   ::unsetenv("ALLCONCUR_FLIGHT_DIR");
   FlightRecorder a(16);
   a.record(EventKind::kDelivered, 1);
-  EXPECT_TRUE(dump_on_trip("no_dir", {{"node0", &a}}).empty());
+  a.record_span(SpanKind::kOrigin, 1, 0, 0, 0, 0);
+  EXPECT_TRUE(dump_on_trip("no_dir", {{0, &a}}).empty());
 }
 
 // The acceptance scenario: a forced SMR divergence must auto-dump every

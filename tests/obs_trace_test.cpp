@@ -1,15 +1,14 @@
-// Causal tracer: span ring discipline, the wire trace context, the
-// cross-node merge, and the tentpole acceptance assertion — on the sim
-// fabric at f=0 the measured depth D-hat equals the analytic diameter of
-// G_R (and stays within 2·log2(n) hops on the de Bruijn fast path).
+// Causal tracer: spans in the flight recorder, the hop estimate, the wire
+// trace context, the cross-node merge, and the acceptance assertion — on
+// the sim fabric at f=0 the measured depth D-hat equals the analytic
+// diameter of G_R (and stays within 2·log2(n) hops on the de Bruijn fast
+// path).
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <set>
 
 #include "api/sim_cluster.hpp"
@@ -21,29 +20,15 @@ namespace allconcur::obs {
 namespace {
 
 // ---------------------------------------------------------------------------
-// TraceBuffer ring discipline
+// Spans in the flight recorder (ring discipline: obs_recorder_test)
 // ---------------------------------------------------------------------------
 
-TEST(TraceBuffer, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(TraceBuffer(5).capacity(), 8u);
-  EXPECT_EQ(TraceBuffer(8).capacity(), 8u);
-  EXPECT_EQ(TraceBuffer(1).capacity(), 2u);  // same floor as FlightRecorder
-}
-
-TEST(TraceBuffer, DisabledRecordsNothing) {
-  TraceBuffer t(8, false);
-  t.record(SpanKind::kOrigin, 1, 0, 0, 0, 0);
-  EXPECT_EQ(t.size(), 0u);
-  EXPECT_EQ(t.total_recorded(), 0u);
-}
-
-TEST(TraceBuffer, RecordsFieldsFaithfully) {
-  TraceBuffer t(8);
+TEST(FlightRecorderSpans, RecordsFieldsFaithfully) {
+  FlightRecorder rec(8);
   TimeNs clock = 42;
-  t.set_time_source(&clock);
-  t.set_self(3);
-  t.record(SpanKind::kRecv, 7, 2, 5, 4, 12345);
-  const auto spans = t.spans();
+  rec.set_time_source(&clock);
+  rec.record_span(SpanKind::kRecv, 7, 2, 5, 4, 12345);
+  const auto spans = rec.spans(/*self=*/3);
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(spans[0].t, 42);
   EXPECT_EQ(spans[0].round, 7u);
@@ -55,54 +40,13 @@ TEST(TraceBuffer, RecordsFieldsFaithfully) {
   EXPECT_EQ(spans[0].est_ns, 12345u);
 }
 
-TEST(TraceBuffer, WraparoundKeepsNewestAndReconstructsSeq) {
-  TraceBuffer t(4);
-  t.set_self(0);
-  for (Round r = 0; r < 10; ++r) {
-    t.record(SpanKind::kOrigin, r, 0, 0, 0, 0);
-  }
-  EXPECT_EQ(t.size(), 4u);
-  EXPECT_EQ(t.dropped(), 6u);
-  EXPECT_EQ(t.total_recorded(), 10u);
-  const auto spans = t.spans();
-  ASSERT_EQ(spans.size(), 4u);
-  // Oldest retained first: rounds 6..9, seq 6..9.
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(spans[i].round, 6 + i);
-    EXPECT_EQ(spans[i].seq, 6 + i);
-  }
-}
-
-TEST(TraceBuffer, ClearAfterWrapResets) {
-  TraceBuffer t(2);
-  for (Round r = 0; r < 5; ++r) t.record(SpanKind::kSend, r, 0, 1, 0, 0);
-  t.clear();
-  EXPECT_EQ(t.size(), 0u);
-  EXPECT_EQ(t.dropped(), 0u);
-  t.record(SpanKind::kSend, 9, 0, 1, 0, 0);
-  ASSERT_EQ(t.spans().size(), 1u);
-  EXPECT_EQ(t.spans()[0].round, 9u);
-}
-
-TEST(TraceBuffer, SpansForRoundFilters) {
-  TraceBuffer t(16);
-  t.record(SpanKind::kOrigin, 3, 0, 0, 0, 0);
-  t.record(SpanKind::kOrigin, 4, 0, 0, 0, 0);
-  t.record(SpanKind::kRecv, 3, 0, 1, 0, 0);
-  EXPECT_EQ(t.spans_for_round(3).size(), 2u);
-  EXPECT_EQ(t.spans_for_round(4).size(), 1u);
-  EXPECT_EQ(t.spans_for_round(5).size(), 0u);
-}
-
-TEST(TraceBuffer, HopEstimateTracksHistogramMean) {
-  TraceBuffer t(4);
-  EXPECT_EQ(t.hop_estimate_ns(), 0u);  // no histogram donated
+TEST(HopEstimate, TracksHistogramMean) {
+  EXPECT_EQ(hop_estimate_ns(nullptr), 0u);  // no histogram donated
   Histogram h;
-  t.set_hop_histogram(&h);
-  EXPECT_EQ(t.hop_estimate_ns(), 0u);  // empty histogram
+  EXPECT_EQ(hop_estimate_ns(&h), 0u);  // empty histogram
   h.record(1000);
   h.record(3000);
-  EXPECT_EQ(t.hop_estimate_ns(), 2000u);
+  EXPECT_EQ(hop_estimate_ns(&h), 2000u);
 }
 
 // ---------------------------------------------------------------------------
@@ -151,15 +95,15 @@ TEST(TraceContext, UnsampledFrameWireImageUnchanged) {
 // ---------------------------------------------------------------------------
 
 TEST(TraceMergeTest, DumpParseRoundTrip) {
-  TraceBuffer t(16);
+  FlightRecorder rec(16);
   TimeNs clock = 1000;
-  t.set_time_source(&clock);
-  t.set_self(4);
-  t.record(SpanKind::kOrigin, 2, 4, 4, 0, 0);
+  rec.set_time_source(&clock);
+  rec.record_span(SpanKind::kOrigin, 2, 4, 4, 0, 0);
+  rec.record(EventKind::kBcastSent, 2);  // events stay out of the span dump
   clock = 2000;
-  t.record(SpanKind::kSend, 2, 4, 1, 0, 777);
+  rec.record_span(SpanKind::kSend, 2, 4, 1, 0, 777);
   TraceMerge merge;
-  EXPECT_EQ(merge.add_dump(t.dump_json("node4")), 2u);
+  EXPECT_EQ(merge.add_dump(rec.dump_spans_json("node4", 4)), 2u);
   ASSERT_EQ(merge.spans().size(), 2u);
   const auto& s = merge.spans()[1];
   EXPECT_EQ(s.node, 4u);
@@ -175,48 +119,6 @@ TEST(TraceMergeTest, GarbageLinesAreSkipped) {
   EXPECT_TRUE(merge.spans().empty());
 }
 
-TEST(TraceMergeTest, TripDumpWritesOneFilePerTracedNode) {
-  char tmpl[] = "/tmp/allconcur_trace_XXXXXX";
-  char* dir = ::mkdtemp(tmpl);
-  ASSERT_NE(dir, nullptr);
-  ::setenv("ALLCONCUR_FLIGHT_DIR", dir, 1);
-
-  TraceBuffer a(16), b(16), empty(16), off(16, /*enabled=*/false);
-  a.set_self(0);
-  b.set_self(1);
-  a.record(SpanKind::kOrigin, 3, 0, 0, 0, 0);
-  b.record(SpanKind::kRecv, 3, 0, 0, 0, 500);
-  off.record(SpanKind::kRecv, 3, 0, 0, 0, 0);  // dropped: disabled
-
-  const auto written = trace_dump_on_trip(
-      "unit_trip",
-      {{"node0", &a}, {"node1", &b}, {"node2", &empty}, {"node3", &off}});
-  ::unsetenv("ALLCONCUR_FLIGHT_DIR");
-  // Empty and disabled tracers are skipped — only nodes with spans dump.
-  ASSERT_EQ(written.size(), 2u);
-  EXPECT_EQ(written[0], std::string(dir) + "/trace_unit_trip_node0.jsonl");
-
-  // The files round-trip through the same parser allconcur_trace uses.
-  TraceMerge merge;
-  for (const auto& path : written) {
-    std::FILE* f = std::fopen(path.c_str(), "r");
-    ASSERT_NE(f, nullptr) << path;
-    std::string body(4096, '\0');
-    body.resize(std::fread(body.data(), 1, body.size(), f));
-    std::fclose(f);
-    EXPECT_GT(merge.add_dump(body), 0u) << path;
-  }
-  EXPECT_EQ(merge.spans().size(), 2u);
-}
-
-TEST(TraceMergeTest, TripDumpWithoutDirWritesNothing) {
-  ::unsetenv("ALLCONCUR_FLIGHT_DIR");
-  TraceBuffer a(16);
-  a.set_self(0);
-  a.record(SpanKind::kOrigin, 1, 0, 0, 0, 0);
-  EXPECT_TRUE(trace_dump_on_trip("no_dir", {{"node0", &a}}).empty());
-}
-
 // ---------------------------------------------------------------------------
 // Acceptance: D-hat on the sim fabric equals the analytic depth (f=0)
 // ---------------------------------------------------------------------------
@@ -225,7 +127,7 @@ api::SimCluster traced_cluster(std::size_t n, bool dual) {
   api::ClusterOptions opt;
   opt.n = n;
   opt.trace_sample_period = 1;
-  opt.trace_capacity = 1 << 14;
+  opt.recorder_capacity = 1 << 14;
   if (dual) opt.fast_builder = plus::make_unreliable_builder();
   return api::SimCluster(std::move(opt));
 }

@@ -69,7 +69,10 @@ class TcpCluster {
     return delivered_[id];
   }
 
-  /// Waits until every node in `ids` completed at least `rounds` rounds.
+  /// Waits until every node in `ids` handed at least `rounds` rounds to
+  /// its deliver callback, so delivered() already holds them (a node's
+  /// rounds_completed() counts a round before its callback runs, and on a
+  /// membership change the node dials new successors in between).
   /// The budget is scaled by ALLCONCUR_TEST_TIME_SCALE for slow runners.
   bool wait_rounds(const std::vector<NodeId>& ids, std::uint64_t rounds,
                    DurationNs timeout) {
@@ -77,10 +80,13 @@ class TcpCluster {
                           std::chrono::nanoseconds(scaled(timeout));
     for (;;) {
       bool done = true;
-      for (NodeId id : ids) {
-        if (nodes_[id]->rounds_completed() < rounds) {
-          done = false;
-          break;
+      {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        for (NodeId id : ids) {
+          if (delivered_[id].size() < rounds) {
+            done = false;
+            break;
+          }
         }
       }
       if (done) return true;
