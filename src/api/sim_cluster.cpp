@@ -36,6 +36,7 @@ SimCluster::SimCluster(ClusterOptions options)
   ALLCONCUR_ASSERT(options_.n >= 1, "cluster needs at least one node");
   ALLCONCUR_ASSERT(options_.window >= 1, "window must be at least 1");
   nodes_.resize(options_.n + options_.max_joins);
+  sim_.set_hop_handler([this](sim::Hop& hop) { handle_hop(hop); });
 
   // CI escape hatch: ALLCONCUR_TRACE_PERIOD turns sampling on for every
   // SimCluster that did not ask for it, so a red chaos run ships causal
@@ -217,56 +218,67 @@ void SimCluster::schedule_arrival(NodeId src, NodeId dst,
                                   const FrameRef& frame, TimeNs sent_at,
                                   TimeNs arrive, bool corrupt,
                                   std::uint64_t corrupt_at) {
-  sim_.schedule_at(arrive, [this, src, dst, frame, sent_at, corrupt,
-                            corrupt_at] {
+  sim_.schedule_hop(arrive, sim::Hop{.frame = frame,
+                                     .sent_at = sent_at,
+                                     .corrupt_at = corrupt_at,
+                                     .src = src,
+                                     .dst = dst,
+                                     .corrupt = corrupt});
+}
+
+void SimCluster::handle_hop(sim::Hop& hop) {
+  const NodeId src = hop.src;
+  const FrameRef& frame = hop.frame;
+  if (hop.stage == sim::Hop::Stage::kArrive) {
+    // The receiver's overhead depends on what else already arrived at dst,
+    // so the hand-off time is charged now, not at send time.
     const TimeNs handed =
-        model_.receiver_done(dst, frame->wire_size(), sim_.now());
-    sim_.schedule_at(handed, [this, src, dst, frame, sent_at, corrupt,
-                              corrupt_at] {
-      Node* node = nodes_[dst].get();
-      if (!node || node->crashed) return;
-      if (!node->active) {
-        node->preactivation.emplace_back(src, frame);
-        return;
-      }
-      if (corrupt) {
-        // Injected corruption travels as real damaged wire bytes: re-parse
-        // them like a transport would. The frame checksum must catch the
-        // flip — a decode that succeeds anyway is silent corruption,
-        // counted separately so the chaos gate can assert it never happens.
-        const auto tainted = core::Frame::corrupt_copy(*frame, corrupt_at);
-        const auto bytes = tainted->to_bytes();
-        const auto parsed = core::decode(
-            std::span<const std::uint8_t>(bytes.data(), bytes.size()));
-        if (!parsed) {
-          ++chaos_corrupt_dropped_;
-          return;
-        }
-        // Silent corruption: a flipped byte survived the checksum. This
-        // is the invariant the chaos gate asserts never happens — ship
-        // the evidence (every node's timeline) with the first trip.
-        if (chaos_corrupt_delivered_ == 0 && node->rt->recorder()) {
-          node->rt->recorder()->record(
-              obs::EventKind::kInvariantTrip, parsed->round,
-              static_cast<std::uint64_t>(obs::TripCode::kCorruptDelivered),
-              src);
-          obs::dump_on_trip("corrupt_delivered", recorders());
-        }
-        ++chaos_corrupt_delivered_;
-        node->rt->receive(src, *parsed, sim_.now());
-        return;
-      }
-      if (frame->msg().type != MsgType::kHeartbeat) {
-        // Modeled one-way hop latency, live regardless of sampling — the
-        // registry histogram tracing reads its per-hop estimate from, so
-        // it is recorded before the engine relays.
-        relay_hop_->record(
-            static_cast<std::uint64_t>(std::max<TimeNs>(0, sim_.now() -
-                                                               sent_at)));
-      }
-      node->rt->receive(src, frame->msg(), sim_.now());
-    });
-  });
+        model_.receiver_done(hop.dst, frame->wire_size(), sim_.now());
+    hop.stage = sim::Hop::Stage::kHanded;
+    sim_.schedule_hop(handed, std::move(hop));
+    return;
+  }
+  Node* node = nodes_[hop.dst].get();
+  if (!node || node->crashed) return;
+  if (!node->active) {
+    node->preactivation.emplace_back(src, std::move(hop.frame));
+    return;
+  }
+  if (hop.corrupt) {
+    // Injected corruption travels as real damaged wire bytes: re-parse
+    // them like a transport would. The frame checksum must catch the
+    // flip — a decode that succeeds anyway is silent corruption,
+    // counted separately so the chaos gate can assert it never happens.
+    const auto tainted = core::Frame::corrupt_copy(*frame, hop.corrupt_at);
+    const auto bytes = tainted->to_bytes();
+    const auto parsed = core::decode(
+        std::span<const std::uint8_t>(bytes.data(), bytes.size()));
+    if (!parsed) {
+      ++chaos_corrupt_dropped_;
+      return;
+    }
+    // Silent corruption: a flipped byte survived the checksum. This
+    // is the invariant the chaos gate asserts never happens — ship
+    // the evidence (every node's timeline) with the first trip.
+    if (chaos_corrupt_delivered_ == 0 && node->rt->recorder()) {
+      node->rt->recorder()->record(
+          obs::EventKind::kInvariantTrip, parsed->round,
+          static_cast<std::uint64_t>(obs::TripCode::kCorruptDelivered),
+          src);
+      obs::dump_on_trip("corrupt_delivered", recorders());
+    }
+    ++chaos_corrupt_delivered_;
+    node->rt->receive(src, *parsed, sim_.now());
+    return;
+  }
+  if (frame->msg().type != MsgType::kHeartbeat) {
+    // Modeled one-way hop latency, live regardless of sampling — the
+    // registry histogram tracing reads its per-hop estimate from, so
+    // it is recorded before the engine relays.
+    relay_hop_->record(static_cast<std::uint64_t>(
+        std::max<TimeNs>(0, sim_.now() - hop.sent_at)));
+  }
+  node->rt->receive(src, frame->msg(), sim_.now());
 }
 
 void SimCluster::handle_delivery(NodeId id, const RoundResult& result) {

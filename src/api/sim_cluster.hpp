@@ -50,6 +50,11 @@ class SimCluster {
  public:
   explicit SimCluster(ClusterOptions options);
   ~SimCluster();
+  // The engine hooks and the simulator's hop handler hold `this`.
+  SimCluster(const SimCluster&) = delete;
+  SimCluster& operator=(const SimCluster&) = delete;
+  SimCluster(SimCluster&&) = delete;
+  SimCluster& operator=(SimCluster&&) = delete;
 
   sim::Simulator& sim() { return sim_; }
   const ClusterOptions& options() const { return options_; }
@@ -158,13 +163,17 @@ class SimCluster {
   /// charges frame->wire_size() and the destination reads the decoded form
   /// through frame->msg() — nothing is copied anywhere along the path.
   void handle_send(NodeId src, NodeId dst, const core::FrameRef& frame);
-  /// Schedules one physical delivery of `frame` at `arrive`; a corrupt
-  /// delivery re-parses the damaged wire bytes like a transport would.
-  /// `sent_at` (the sender's hook time) feeds the per-hop relay latency
-  /// histogram at hand-off.
+  /// Schedules one physical delivery of `frame` at `arrive`, as a typed
+  /// hop record. `sent_at` (the sender's hook time) feeds the per-hop
+  /// relay latency histogram at hand-off.
   void schedule_arrival(NodeId src, NodeId dst, const core::FrameRef& frame,
                         TimeNs sent_at, TimeNs arrive, bool corrupt,
                         std::uint64_t corrupt_at);
+  /// Runs a hop's stage: on arrival, charges dst's receive overhead and
+  /// re-queues the hop for hand-off; at hand-off, gives the frame to dst's
+  /// engine (a corrupt one re-parses the damaged wire bytes like a
+  /// transport would).
+  void handle_hop(sim::Hop& hop);
   void handle_delivery(NodeId id, const core::RoundResult& result);
   void schedule_fd_tick(NodeId id);
   void schedule_watchdog_tick(NodeId id);

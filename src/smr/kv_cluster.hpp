@@ -50,6 +50,11 @@ class SimKvCluster {
   explicit SimKvCluster(SimKvOptions options);
   explicit SimKvCluster(api::ClusterOptions cluster_options)
       : SimKvCluster(SimKvOptions{.cluster = std::move(cluster_options)}) {}
+  // The cluster's delivery hook holds `this`.
+  SimKvCluster(const SimKvCluster&) = delete;
+  SimKvCluster& operator=(const SimKvCluster&) = delete;
+  SimKvCluster(SimKvCluster&&) = delete;
+  SimKvCluster& operator=(SimKvCluster&&) = delete;
 
   api::SimCluster& cluster() { return cluster_; }
   sim::Simulator& sim() { return cluster_.sim(); }

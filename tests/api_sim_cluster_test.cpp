@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <set>
+
+#include "chaos/scenario.hpp"
+#include "plus/plus.hpp"
 
 namespace allconcur::api {
 namespace {
@@ -247,6 +251,71 @@ TEST(SimCluster, BroadcastTimesRecorded) {
     EXPECT_TRUE(c.broadcast_time(id, 0).has_value()) << "node " << id;
   }
   EXPECT_FALSE(c.broadcast_time(0, 99).has_value());
+}
+
+// ---------------------------------------------------------------------
+// Pinned event order. One fixed-seed run drives every hop path of the
+// simulated fabric (plain, duplicated, corrupted, jittered and gray-slowed
+// frames) next to the control events (heartbeat and watchdog ticks, the
+// crash timer, sampled-trace send spans, broadcast_now). The digest covers
+// every delivery with its virtual time, so any change to the order in
+// which the simulator runs equal-time events moves it. The constants were
+// recorded from the simulator that kept one std::function per event; the
+// typed-hop queue must reproduce them exactly, and so must any later
+// change to the event core.
+// ---------------------------------------------------------------------
+
+TEST(SimClusterEventOrder, PinnedDigest) {
+  chaos::LinkFaults f;
+  f.duplicate = 0.08;
+  f.corrupt = 0.03;
+  f.reorder = 0.3;
+  f.reorder_jitter = us(200);
+  ClusterOptions opt;
+  opt.n = 8;
+  opt.window = 2;
+  opt.heartbeat_fd = true;
+  opt.fast_builder = plus::make_unreliable_builder();
+  opt.fallback_timeout = ms(30);
+  opt.trace_sample_period = 4;
+  opt.chaos = std::make_shared<chaos::ScenarioEngine>(
+      chaos::Scenario(0xD16E57)
+          .faults(0, ms(80), f)
+          .gray(ms(80), ms(160), 2, us(300), 0.1));
+  SimCluster c(opt);
+
+  std::uint64_t digest = 0xcbf29ce484222325ull;  // FNV-1a over the fields
+  auto mix = [&digest](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      digest = (digest ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ull;
+    }
+  };
+  std::size_t deliveries = 0;
+  c.on_deliver = [&](NodeId who, const RoundResult& r, TimeNs t) {
+    ++deliveries;
+    mix(who);
+    mix(r.round);
+    mix(static_cast<std::uint64_t>(t));
+    for (const auto& d : r.deliveries) {
+      mix(d.origin);
+      mix(d.bytes);
+    }
+    c.submit_opaque(who, 32 * (1 + r.round % 4));
+    c.broadcast_now(who);
+  };
+  c.crash_after_sends(5, ms(30), 3);
+  c.broadcast_all_now();
+  c.run_for(ms(400));
+  mix(c.sim().events_processed());
+  mix(c.corrupt_dropped());
+
+  EXPECT_FALSE(c.alive(5));
+  EXPECT_EQ(c.live_nodes().size(), 7u);
+  EXPECT_EQ(c.corrupt_delivered(), 0u);
+  EXPECT_EQ(deliveries, 32335u);
+  EXPECT_EQ(c.sim().events_processed(), 849082u);
+  EXPECT_EQ(c.corrupt_dropped(), 45u);
+  EXPECT_EQ(digest, 9888443618028761708ull);
 }
 
 // ---------------------------------------------------------------------
