@@ -3,6 +3,7 @@
 // graph analyses, and whole in-process protocol rounds.
 #include <benchmark/benchmark.h>
 
+#include "common/rng.hpp"
 #include "core/engine.hpp"
 #include "core/message.hpp"
 #include "core/tracking.hpp"
@@ -12,6 +13,7 @@
 #include "graph/gs_digraph.hpp"
 #include "graph/properties.hpp"
 #include "graph/reliability.hpp"
+#include "sim/simulator.hpp"
 
 namespace {
 
@@ -140,6 +142,34 @@ void BM_ProtocolRound(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_ProtocolRound)->Arg(8)->Arg(32)->Arg(128)->Unit(benchmark::kMicrosecond);
+
+// The simulator's event queue under a kv_sim-like load: `pending` frame
+// hops in flight, each moving itself on 1-32 us ahead on a 100 ns grid (so
+// many share a time), as the fabric's hops do. One event is one pop plus
+// one schedule; time_per_event is the cost of both.
+void BM_SimulatorQueue(benchmark::State& state) {
+  const auto pending = static_cast<std::size_t>(state.range(0));
+  std::vector<DurationNs> delays(4096);
+  Rng rng(1);
+  for (auto& d : delays) {
+    d = 100 * static_cast<DurationNs>(10 + rng.next_below(311));
+  }
+  std::size_t next = 0;
+  sim::Simulator s;
+  s.set_hop_handler([&](sim::Hop& hop) {
+    s.schedule_hop(s.now() + delays[next++ % delays.size()], std::move(hop));
+  });
+  for (std::size_t i = 0; i < pending; ++i) {
+    s.schedule_hop(delays[next++ % delays.size()], sim::Hop{});
+  }
+  const std::size_t before = s.events_processed();
+  for (auto _ : state) s.run_until(s.now() + us(1));
+  const auto events = static_cast<double>(s.events_processed() - before);
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  state.counters["time_per_event"] = benchmark::Counter(
+      events, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SimulatorQueue)->Arg(1024)->Arg(4096);
 
 }  // namespace
 

@@ -20,6 +20,8 @@
 //   $ ./round_pipeline              # full run
 //   $ ./round_pipeline --smoke      # ~2 s shape check (same assertions)
 //   $ ./round_pipeline --json=out.json
+#include <sched.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -69,6 +71,31 @@ double thread_cpu_secs() {
   return static_cast<double>(ts.tv_sec) +
          1e-9 * static_cast<double>(ts.tv_nsec);
 }
+
+/// Pins the calling thread to the CPU it runs on until destroyed, then
+/// gives back its CPU set (threads started later inherit the set, so the
+/// TCP runs must not see the pin). Does nothing where affinity is denied.
+class PinToCurrentCpu {
+ public:
+  PinToCurrentCpu() {
+    CPU_ZERO(&saved_);
+    const int cpu = sched_getcpu();
+    if (cpu < 0 || sched_getaffinity(0, sizeof(saved_), &saved_) != 0) return;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    pinned_ = sched_setaffinity(0, sizeof(one), &one) == 0;
+  }
+  ~PinToCurrentCpu() {
+    if (pinned_) sched_setaffinity(0, sizeof(saved_), &saved_);
+  }
+  PinToCurrentCpu(const PinToCurrentCpu&) = delete;
+  PinToCurrentCpu& operator=(const PinToCurrentCpu&) = delete;
+
+ private:
+  cpu_set_t saved_;
+  bool pinned_ = false;
+};
 
 SimPoint run_sim(std::size_t n, std::size_t window, DurationNs skew,
                  DurationNs pace, DurationNs horizon,
@@ -275,29 +302,33 @@ int main(int argc, char** argv) {
   bench::print_title(
       "Observability: flight-recorder overhead (simulator thread CPU time)");
   // Each timed run needs tens of ms of CPU or timer granularity and cache
-  // effects swamp the effect being measured.
-  const DurationNs obs_horizon = ms(smoke ? 80 : 200);
+  // effects swamp the effect being measured. Both arms of every pair run
+  // on one CPU: a migration between arms costs the moved run a cold cache.
+  const DurationNs obs_horizon = ms(smoke ? 120 : 200);
   const std::size_t obs_pairs = smoke ? 10 : 12;
   Summary obs_ratios;
   double obs_best_off = 0.0, obs_best_on = 0.0;  // min CPU secs seen
-  // Discarded warmup: the first run pays allocator growth and page faults
-  // that would bias whichever configuration goes first.
-  (void)run_sim(n, 4, 0, pace, obs_horizon, false);
-  for (std::size_t pair = 0; pair < obs_pairs; ++pair) {
-    SimPoint off, on;
-    if (pair % 2 == 0) {
-      off = run_sim(n, 4, 0, pace, obs_horizon, false);
-      on = run_sim(n, 4, 0, pace, obs_horizon, true);
-    } else {
-      on = run_sim(n, 4, 0, pace, obs_horizon, true);
-      off = run_sim(n, 4, 0, pace, obs_horizon, false);
-    }
-    obs_ratios.add(on.cpu_secs / off.cpu_secs);
-    if (obs_best_off == 0.0 || off.cpu_secs < obs_best_off) {
-      obs_best_off = off.cpu_secs;
-    }
-    if (obs_best_on == 0.0 || on.cpu_secs < obs_best_on) {
-      obs_best_on = on.cpu_secs;
+  {
+    const PinToCurrentCpu pin;
+    // Discarded warmup: the first run pays allocator growth and page
+    // faults that would bias whichever configuration goes first.
+    (void)run_sim(n, 4, 0, pace, obs_horizon, false);
+    for (std::size_t pair = 0; pair < obs_pairs; ++pair) {
+      SimPoint off, on;
+      if (pair % 2 == 0) {
+        off = run_sim(n, 4, 0, pace, obs_horizon, false);
+        on = run_sim(n, 4, 0, pace, obs_horizon, true);
+      } else {
+        on = run_sim(n, 4, 0, pace, obs_horizon, true);
+        off = run_sim(n, 4, 0, pace, obs_horizon, false);
+      }
+      obs_ratios.add(on.cpu_secs / off.cpu_secs);
+      if (obs_best_off == 0.0 || off.cpu_secs < obs_best_off) {
+        obs_best_off = off.cpu_secs;
+      }
+      if (obs_best_on == 0.0 || on.cpu_secs < obs_best_on) {
+        obs_best_on = on.cpu_secs;
+      }
     }
   }
   const double obs_overhead_pct = 100.0 * (obs_ratios.median() - 1.0);

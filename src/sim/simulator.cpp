@@ -1,10 +1,21 @@
 #include "sim/simulator.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "common/assert.hpp"
 
 namespace allconcur::sim {
+namespace {
+
+/// The bucket of time t against base: one past the highest differing bit.
+std::size_t bucket_of(TimeNs t, TimeNs base) {
+  return static_cast<std::size_t>(
+      std::bit_width(static_cast<std::uint64_t>(t ^ base)));
+}
+
+}  // namespace
 
 void Simulator::schedule(DurationNs delay, Action fn) {
   ALLCONCUR_ASSERT(delay >= 0, "cannot schedule into the past");
@@ -31,12 +42,42 @@ void Simulator::push(TimeNs t, Record rec) {
     free_.pop_back();
     slab_[slot] = std::move(rec);
   }
-  queue_.push(Key{t, next_seq_++, slot});
+  const std::size_t i = bucket_of(t, base_);
+  buckets_[i].push_back(Key{t, slot});
+  nonempty_ |= std::uint64_t{1} << i;
+  ++pending_;
+}
+
+bool Simulator::next_due(TimeNs t_end) {
+  std::vector<Key>& ready = buckets_[0];
+  if (head_ < ready.size()) return base_ <= t_end;
+  ready.clear();
+  head_ = 0;
+  nonempty_ &= ~std::uint64_t{1};
+  if (nonempty_ == 0) return false;
+  const auto i = static_cast<std::size_t>(std::countr_zero(nonempty_));
+  std::vector<Key>& from = buckets_[i];
+  TimeNs first = from.front().at;
+  for (const Key& key : from) first = std::min(first, key.at);
+  // Only a pop may move the base: a later schedule_at can land anywhere
+  // from now() on, which must stay at or above it.
+  if (first > t_end) return false;
+  base_ = first;
+  // Every key here now differs from the base below bit i-1; spreading
+  // them in order keeps equal times in scheduling order.
+  for (const Key& key : from) {
+    const std::size_t j = bucket_of(key.at, base_);
+    buckets_[j].push_back(key);
+    nonempty_ |= std::uint64_t{1} << j;
+  }
+  from.clear();
+  nonempty_ &= ~(std::uint64_t{1} << i);
+  return true;
 }
 
 void Simulator::step() {
-  const Key key = queue_.top();
-  queue_.pop();
+  const Key key = buckets_[0][head_++];
+  --pending_;
   now_ = key.at;
   // Move out before running: the event may schedule into (and grow) the
   // slab, and its slot is free for reuse from here on.
@@ -52,14 +93,14 @@ void Simulator::step() {
 
 std::size_t Simulator::run_until(TimeNs t_end) {
   std::size_t ran = 0;
-  for (; !queue_.empty() && queue_.top().at <= t_end; ++ran) step();
+  for (; next_due(t_end); ++ran) step();
   if (now_ < t_end) now_ = t_end;
   return ran;
 }
 
 std::size_t Simulator::run_to_completion(std::size_t max_events) {
   std::size_t ran = 0;
-  for (; !queue_.empty(); ++ran) {
+  for (; next_due(kTimeNever); ++ran) {
     ALLCONCUR_ASSERT(ran < max_events, "simulation exceeded event budget");
     step();
   }

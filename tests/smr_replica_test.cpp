@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "test_env.hpp"
 
@@ -213,6 +215,78 @@ TEST(SimKv, LaggingReplicaSpawnsFromRetainedSnapshot) {
   // from-zero spawn is (correctly) impossible.
   EXPECT_EQ(c.logged_round(0), nullptr);
   EXPECT_EQ(c.spawn_replica_at(1), nullptr);
+}
+
+// ---------------------------------------------------------------------
+// Event order on the externally driven path. SimClusterEventOrder's
+// digest is one run_for, so nothing is scheduled between two run_until
+// calls; here the client does exactly that (execute, submit +
+// broadcast_now between short run_for chunks) while a crash is detected
+// by heartbeat. The constants were recorded from the binary-heap event
+// queue; any later change to the event core must reproduce them.
+// ---------------------------------------------------------------------
+
+TEST(SimKvEventOrder, PinnedDigest) {
+  SimKvOptions opt;
+  opt.cluster.n = 8;
+  opt.cluster.window = 2;
+  opt.cluster.heartbeat_fd = true;
+  opt.snapshot_every = 4;
+  SimKvCluster c(opt);
+
+  std::uint64_t digest = 0xcbf29ce484222325ull;  // FNV-1a over the fields
+  auto mix = [&digest](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      digest = (digest ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ull;
+    }
+  };
+  std::size_t deliveries = 0;
+  c.on_deliver = [&](NodeId who, const core::RoundResult& r, TimeNs t) {
+    ++deliveries;
+    mix(who);
+    mix(r.round);
+    mix(static_cast<std::uint64_t>(t));
+    for (const auto& d : r.deliveries) {
+      mix(d.origin);
+      mix(d.bytes);
+    }
+    c.cluster().broadcast_now(who);  // keep rounds going
+  };
+
+  constexpr NodeId kContacts[] = {0, 1, 2, 3, 4, 6, 7};  // 5 crashes
+  std::vector<KvSession> writers;
+  for (int i = 0; i < 3; ++i) writers.push_back(c.make_session());
+  c.cluster().crash_at(5, ms(3));
+  std::size_t answered = 0;
+  for (int step = 0; step < 90; ++step) {
+    const NodeId node = kContacts[(step * 3) % 7];
+    const Bytes key = b("k" + std::to_string(step % 11));
+    if (step % 4 == 0) {
+      const auto r = c.execute(node, writers[step % 3],
+                               Command::put(key, b(std::to_string(step))));
+      ASSERT_TRUE(r.has_value()) << "step " << step;
+      ++answered;
+      mix(r->value.size());
+    } else {
+      auto reader = c.make_session();
+      c.submit(node, reader, Command::get(key));
+      if (step % 3 != 0) c.cluster().broadcast_now(node);
+      c.cluster().run_for(us(40 + 70 * (step % 5)));
+    }
+  }
+  c.cluster().broadcast_all_now();
+  c.cluster().run_for(ms(20));
+  mix(c.sim().events_processed());
+  mix(c.replica(0).next_round());
+  mix(c.replica(0).state_hash());
+
+  EXPECT_FALSE(c.cluster().alive(5));
+  EXPECT_EQ(c.cluster().live_nodes().size(), 7u);
+  EXPECT_TRUE(c.converged());
+  EXPECT_EQ(answered, 23u);
+  EXPECT_EQ(deliveries, 4912u);
+  EXPECT_EQ(c.sim().events_processed(), 177677u);
+  EXPECT_EQ(digest, 4339578205592876096ull);
 }
 
 }  // namespace
