@@ -318,6 +318,62 @@ TEST(SimClusterEventOrder, PinnedDigest) {
   EXPECT_EQ(digest, 9888443618028761708ull);
 }
 
+// The ⋄P counterpart: n=9, W=3 with the FWD/BWD delivery gate. A gray
+// phase stalls node 2's heartbeats past the detector timeout (a false
+// suspicion: node 2 is evicted while alive, auto-heal admits a standby),
+// then node 6 crashes. Failure pairs are carried across the window and
+// across both epoch switches (node 2's own suspicions of its
+// predecessors outlive node 2). Same FNV-1a digest as above.
+TEST(SimClusterEventOrder, DiamondPPinnedDigest) {
+  ClusterOptions opt;
+  opt.n = 9;
+  opt.window = 3;
+  opt.fd_mode = core::FdMode::kEventuallyPerfect;
+  opt.heartbeat_fd = true;
+  opt.fd_params = {.period = ms(5), .timeout = ms(20)};
+  opt.auto_heal = true;
+  opt.chaos = std::make_shared<chaos::ScenarioEngine>(
+      chaos::Scenario(0xD1A9).gray(ms(40), ms(70), 2, ms(30)));
+  SimCluster c(opt);
+
+  std::uint64_t digest = 0xcbf29ce484222325ull;
+  auto mix = [&digest](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      digest = (digest ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ull;
+    }
+  };
+  std::size_t deliveries = 0;
+  c.on_deliver = [&](NodeId who, const RoundResult& r, TimeNs t) {
+    ++deliveries;
+    mix(who);
+    mix(r.round);
+    mix(static_cast<std::uint64_t>(t));
+    for (const auto& d : r.deliveries) {
+      mix(d.origin);
+      mix(d.bytes);
+    }
+    for (NodeId id : r.removed) mix(id);
+    for (NodeId id : r.joined) mix(id);
+    c.submit_opaque(who, 32 * (1 + r.round % 4));
+    c.broadcast_now(who);
+  };
+  c.crash_at(6, ms(120));
+  c.broadcast_all_now();
+  c.run_for(ms(250));
+  mix(c.sim().events_processed());
+
+  // Node 2 was evicted while alive, node 6 crashed, and auto-heal
+  // restored the membership size with two standbys.
+  const auto& view = c.engine(0).view();
+  EXPECT_FALSE(view.contains(2));
+  EXPECT_FALSE(view.contains(6));
+  EXPECT_FALSE(c.alive(6));
+  EXPECT_EQ(view.size(), 9u);
+  EXPECT_EQ(deliveries, 7701u);
+  EXPECT_EQ(c.sim().events_processed(), 907824u);
+  EXPECT_EQ(digest, 1567377241879172244ull);
+}
+
 // ---------------------------------------------------------------------
 // Auto-heal (§4.2.2 deployment note): failed servers are replaced by
 // standbys through ordinary agreed joins, restoring the membership size.
