@@ -6,25 +6,6 @@
 
 namespace allconcur::core {
 
-// Adapter exposing one round's failure knowledge (F_i) to the tracking
-// digraphs in rank space. F_i is per round: a notification tagged with
-// round r applies to r and later rounds, never to earlier open ones.
-class Engine::Knowledge final : public FailureKnowledge {
- public:
-  Knowledge(const Engine& e, const RoundState& st) : e_(e), st_(st) {}
-  bool is_failed(NodeId rank) const override {
-    return st_.failed_rank[rank];
-  }
-  bool has_pair(NodeId rank_j, NodeId rank_k) const override {
-    return st_.fails.count({e_.view_->member(rank_j),
-                            e_.view_->member(rank_k)}) > 0;
-  }
-
- private:
-  const Engine& e_;
-  const RoundState& st_;
-};
-
 Engine::Engine(NodeId self, View view, GraphBuilder builder, Hooks hooks,
                Options options, Round start_round)
     : self_(self),
@@ -33,7 +14,8 @@ Engine::Engine(NodeId self, View view, GraphBuilder builder, Hooks hooks,
       options_(options),
       rec_(options.recorder),
       base_round_(start_round),
-      view_(std::make_shared<const View>(std::move(view))) {
+      view_(std::make_shared<const View>(std::move(view))),
+      evidence_(self) {
   ALLCONCUR_ASSERT(hooks_.send && hooks_.deliver, "engine hooks required");
   ALLCONCUR_ASSERT(view_->contains(self_), "self must be a view member");
   ALLCONCUR_ASSERT(options_.window >= 1, "window must be at least 1");
@@ -44,7 +26,7 @@ Engine::Engine(NodeId self, View view, GraphBuilder builder, Hooks hooks,
     ALLCONCUR_ASSERT(options_.fd_mode == FdMode::kPerfect,
                      "dual-digraph mode requires a perfect failure detector");
   }
-  suspected_rank_.assign(view_->size(), false);
+  evidence_.set_view(view_);
   refill_window();
 }
 
@@ -71,10 +53,6 @@ void Engine::open_round() {
   const Round r =
       window_.empty() ? base_round_ : window_.back()->round + 1;
   const std::size_t n = view_->size();
-  // Failure notifications carry forward (line 12): within an epoch the new
-  // round inherits its predecessor's F_i; the first round after a view
-  // switch (empty window) seeds from the carried, membership-filtered set.
-  const RoundState* prev = window_.empty() ? nullptr : window_.back().get();
 
   // Failure-free fast path: the common round keeps the same view, so the
   // rank and neighbor lists survive; only a membership change recomputes
@@ -111,16 +89,12 @@ void Engine::open_round() {
   st->fallback_relayed = false;
   st->fallback_attempt = 0;
   st->assisted = false;
-  // A round with inherited failure notifications can never complete fast
-  // (the failed member's message will not arrive over G_U), so it opens
-  // on the reliable path directly; failure-free rounds open FAST and skip
-  // the tracking machinery entirely (st->tracking keeps whatever stale
-  // pool state it has — guarded by st->fast at every use).
-  const std::set<std::pair<NodeId, NodeId>>& inherited =
-      prev ? prev->fails : carry_fails_;
-  st->fast = fast_path() && inherited.empty();
-  st->fails.clear();
-  st->failed_rank.assign(n, false);
+  // With failure evidence held a round can never complete fast (the
+  // failed member's message will not arrive over G_U), so it opens on the
+  // reliable path directly; failure-free rounds open FAST and skip the
+  // tracking machinery (st->tracking keeps whatever stale pool state it
+  // has — guarded by st->fast at every use).
+  st->fast = fast_path() && evidence_.empty();
   st->lost.assign(n, false);
   st->decided = false;
   st->fwd_seen.assign(n, false);
@@ -136,25 +110,15 @@ void Engine::open_round() {
   rec(obs::EventKind::kRoundOpen, r, window_.back()->fast ? 1 : 0,
       window_.size());
 
-  // Carry the inherited failure notifications into the fresh round
-  // (Algorithm 1 lines 12-13): re-disseminate each pair under the new
-  // round's tag and replay it against the new tracking digraphs, one at a
-  // time exactly like the classic per-round transition, so servers that
-  // failed in an earlier round resolve here too (and joiners hear about
-  // them).
-  if (!inherited.empty()) {
-    RoundState& ref = *window_.back();
-    for (const auto& [j, k] : inherited) {
-      const auto rank_j = view_->rank_of(j);
-      ALLCONCUR_ASSERT(rank_j.has_value(), "carried failure left the view");
-      ref.fails.insert({j, k});
-      ref.failed_rank[*rank_j] = true;
-      stats_.fail_sent += send_to_successors(Message::fail(r, j, k));
-      const auto rank_k = view_->rank_of(k);
-      apply_failure_to_round(
-          ref, *rank_j, rank_k ? static_cast<NodeId>(*rank_k) : kInvalidNode);
-    }
-  }
+  // Carry the failure evidence into the fresh round (Algorithm 1 lines
+  // 12-13): re-disseminate each pair under the new round's tag and replay
+  // it against the new tracking digraphs, so servers that failed in an
+  // earlier round resolve here too (and joiners hear about them).
+  RoundState& fresh = *window_.back();
+  evidence_.for_each(r, [&](NodeId j, NodeId k) {
+    send_fail(r, j, k);
+    apply_failure_to_round(fresh, j, k);
+  });
 }
 
 void Engine::init_tracking(RoundState& st) {
@@ -208,10 +172,6 @@ void Engine::submit_opaque(std::size_t bytes) {
 
 std::uint64_t Engine::pending_bytes() const {
   return pending_request_bytes_ + pending_opaque_bytes_;
-}
-
-bool Engine::has_broadcast() const {
-  return !window_.empty() && window_.front()->own_broadcast;
 }
 
 std::optional<Round> Engine::next_broadcast_round() const {
@@ -290,10 +250,6 @@ void Engine::do_broadcast(RoundState& st) {
   check_termination(st);
 }
 
-bool Engine::front_round_active() const {
-  return front_round_progress() > 0;
-}
-
 std::size_t Engine::front_round_progress() const {
   if (window_.empty()) return 0;
   // have_count counts the own broadcast too (do_broadcast sets the bit),
@@ -348,7 +304,7 @@ void Engine::on_message(NodeId from, const Message& msg) {
       park_future(from, msg);
       return;
     }
-    handle_fail(msg);
+    handle_fail(from, msg);
     deliver_ready();
     return;
   }
@@ -362,9 +318,7 @@ void Engine::on_message(NodeId from, const Message& msg) {
       deliver_ready();
       return;
     }
-    ++stats_.dropped_stale;
-    rec(obs::EventKind::kDroppedMsg, msg.round,
-        static_cast<std::uint64_t>(obs::DropReason::kStale), from);
+    drop(obs::DropReason::kStale, msg, from);
     return;
   }
   RoundState* st = find_round(msg.round);
@@ -437,26 +391,25 @@ void Engine::replay_parked() {
   replaying_ = was_replaying;
 }
 
-void Engine::handle_bcast(NodeId from, const Message& msg, RoundState& st) {
-  const bool via_fast = msg.type == MsgType::kUBcast;
-  ++(via_fast ? stats_.ubcast_received : stats_.bcast_received);
+std::optional<std::size_t> Engine::admit(NodeId from, const Message& msg) {
   const auto from_rank = view_->rank_of(from);
-  if (from_rank && suspected_rank_[*from_rank]) {
+  if (from_rank && evidence_.suspected(*from_rank)) {
     // §3.3.2: once a predecessor is suspected, everything but failure
     // notifications from it must be ignored, or the FAIL-implies-relayed
     // inference of the tracking digraphs breaks.
-    ++stats_.dropped_suspected;
-    rec(obs::EventKind::kDroppedMsg, msg.round,
-        static_cast<std::uint64_t>(obs::DropReason::kSuspectedOrigin), from);
-    return;
+    drop(obs::DropReason::kSuspectedOrigin, msg, from);
+    return std::nullopt;
   }
   const auto origin_rank = view_->rank_of(msg.origin);
-  if (!origin_rank) {
-    ++stats_.dropped_foreign;
-    rec(obs::EventKind::kDroppedMsg, msg.round,
-        static_cast<std::uint64_t>(obs::DropReason::kForeignEpoch), from);
-    return;
-  }
+  if (!origin_rank) drop(obs::DropReason::kForeignEpoch, msg, from);
+  return origin_rank;
+}
+
+void Engine::handle_bcast(NodeId from, const Message& msg, RoundState& st) {
+  const bool via_fast = msg.type == MsgType::kUBcast;
+  ++(via_fast ? stats_.ubcast_received : stats_.bcast_received);
+  const auto origin_rank = admit(from, msg);
+  if (!origin_rank) return;
 
   // A reliable ⟨BCAST⟩ reaching a round we still run fast means a peer
   // fell back; its ⟨FALLBACK⟩ precedes it on every G_R link, so this is
@@ -475,9 +428,7 @@ void Engine::handle_bcast(NodeId from, const Message& msg, RoundState& st) {
     // ⋄P only (cannot happen with an accurate FD, see tests): the message
     // set was already fixed without m_origin — adding it now would break
     // the FWD/BWD set inferences. Count and drop.
-    ++stats_.dropped_lost;
-    rec(obs::EventKind::kDroppedMsg, msg.round,
-        static_cast<std::uint64_t>(obs::DropReason::kLostRace), from);
+    drop(obs::DropReason::kLostRace, msg, from);
     return;
   }
 
@@ -600,22 +551,9 @@ void Engine::enter_fallback(RoundState& st) {
                          st.msg_bytes[rank]);
   }
 
-  // Instantiate the tracking digraphs for whatever is still missing, then
-  // replay the failure pairs the fast phase recorded (and disseminate
-  // them under this round's tag — fast rounds record but do not apply).
+  // Track whatever is still missing. No evidence to replay: a fast round
+  // has applied none (learn_failure transitions it first).
   init_tracking(st);
-  if (!st.fails.empty()) {
-    const auto pairs = st.fails;  // apply mutates tracking, not fails
-    for (const auto& [j, k] : pairs) {
-      const auto rank_j = view_->rank_of(j);
-      if (!rank_j) continue;
-      stats_.fail_sent +=
-          send_to_successors(Message::fail(st.round, j, k));
-      const auto rank_k = view_->rank_of(k);
-      apply_failure_to_round(
-          st, *rank_j, rank_k ? static_cast<NodeId>(*rank_k) : kInvalidNode);
-    }
-  }
   check_termination(st);
 }
 
@@ -639,9 +577,8 @@ void Engine::reflood_fallback(RoundState& st) {
     rebroadcast_reliable(st.round, view_->member(rank), st.msgs[rank],
                          st.msg_bytes[rank]);
   }
-  for (const auto& [j, k] : st.fails) {
-    stats_.fail_sent += send_to_successors(Message::fail(st.round, j, k));
-  }
+  evidence_.for_each(st.round,
+                     [&](NodeId j, NodeId k) { send_fail(st.round, j, k); });
 }
 
 void Engine::handle_fallback(NodeId from, const Message& msg,
@@ -712,14 +649,13 @@ void Engine::handle_fallback_stale(NodeId from, const Message& msg) {
     // discipline): the laggard's tracked re-execution may be waiting on
     // a lost ⟨FAIL⟩, not a lost message.
     for (const auto& [j, k] : retained.fails) {
-      stats_.fail_sent +=
-          send_to_successors(Message::fail(retained.round, j, k));
+      send_fail(retained.round, j, k);
     }
     return;
   }
   // Beyond the retention horizon: can only mean the sender was evicted or
   // partitioned past recovery — count and drop.
-  ++stats_.dropped_stale;
+  drop(obs::DropReason::kStale, msg, from);
 }
 
 void Engine::retain_delivered(const RoundState& st,
@@ -737,7 +673,9 @@ void Engine::retain_delivered(const RoundState& st,
   entry.assisted_attempt = -1;
   entry.deliveries.insert(entry.deliveries.end(), result.deliveries.begin(),
                           result.deliveries.end());
-  entry.fails.insert(entry.fails.end(), st.fails.begin(), st.fails.end());
+  evidence_.for_each(st.round, [&entry](NodeId j, NodeId k) {
+    entry.fails.emplace_back(j, k);
+  });
   retained_.push_back(std::move(entry));
 }
 
@@ -768,9 +706,24 @@ void Engine::on_round_timeout(Round r) {
   deliver_ready();
 }
 
-void Engine::handle_fail(const Message& msg) {
+void Engine::drop(obs::DropReason why, const Message& msg, NodeId from) {
+  switch (why) {
+    case obs::DropReason::kStale: ++stats_.dropped_stale; break;
+    case obs::DropReason::kSuspectedOrigin: ++stats_.dropped_suspected; break;
+    case obs::DropReason::kForeignEpoch: ++stats_.dropped_foreign; break;
+    case obs::DropReason::kLostRace: ++stats_.dropped_lost; break;
+  }
+  rec(obs::EventKind::kDroppedMsg, msg.round, static_cast<std::uint64_t>(why),
+      from);
+}
+
+void Engine::handle_fail(NodeId from, const Message& msg) {
   ++stats_.fail_received;
-  learn_failure(msg.origin, msg.detector, msg.round, /*disseminate=*/true);
+  if (!view_->contains(msg.origin)) {
+    drop(obs::DropReason::kForeignEpoch, msg, from);
+    return;
+  }
+  learn_failure(msg.origin, msg.detector, msg.round);
 }
 
 void Engine::on_suspect(NodeId suspect) {
@@ -778,26 +731,15 @@ void Engine::on_suspect(NodeId suspect) {
   if (!view_->contains(suspect)) return;  // not (or no longer) a member
   // A suspicion raised now covers every currently open round.
   rec(obs::EventKind::kSuspect, base_round_, suspect);
-  learn_failure(suspect, self_, base_round_, /*disseminate=*/true);
+  learn_failure(suspect, self_, base_round_);
   deliver_ready();
 }
 
-void Engine::learn_failure(NodeId global_j, NodeId global_k, Round from_round,
-                           bool disseminate) {
-  const auto rank_j = view_->rank_of(global_j);
-  if (!rank_j) {
-    ++stats_.dropped_foreign;
-    return;
-  }
-  if (global_k == self_) suspected_rank_[*rank_j] = true;
-
-  // The detector may have left the membership between rounds; its
-  // non-receipt information is then moot (it is not a successor in the
-  // current overlay), but "p_j failed" still matters.
-  const auto rank_k = view_->rank_of(global_k);
-  const NodeId k_or_sentinel =
-      rank_k ? static_cast<NodeId>(*rank_k) : kInvalidNode;
-
+void Engine::learn_failure(NodeId global_j, NodeId global_k,
+                           Round from_round) {
+  // A tag below the window (a stale FAIL) applies to every open round.
+  from_round = std::max(from_round, base_round_);
+  const Round known_from = evidence_.learn(global_j, global_k, from_round);
   for (auto& st : window_) {
     if (st->round < from_round) continue;  // never applies backward
     // Dual-digraph mode: failure evidence about a fast round forces the
@@ -805,38 +747,39 @@ void Engine::learn_failure(NodeId global_j, NodeId global_k, Round from_round,
     // complete one re-relays its (full) set. Both happen before the pair
     // is disseminated below, keeping every held message ahead of its
     // failure evidence on each outgoing G_R link.
-    if (st->fast) {
-      if (st->complete) {
-        assist_fallback(*st);
-      } else {
-        initiate_fallback(*st);
-      }
-    }
-    if (!st->fails.insert({global_j, global_k}).second) continue;  // dup
-    st->failed_rank[*rank_j] = true;
+    if (st->fast && st->complete) assist_fallback(*st);
+    initiate_fallback(*st);  // no-op unless fast and incomplete
+    if (st->round >= known_from) continue;  // this round knew it already
     rec(obs::EventKind::kFailureLearned, st->round, global_j, global_k);
-    if (disseminate) {
-      // Line 22: R-broadcast the notification onward, tagged with each
-      // round that learned it (every round needs its own failure stream;
-      // fail_sent counts actual sends, not the nominal out-degree).
-      stats_.fail_sent +=
-          send_to_successors(Message::fail(st->round, global_j, global_k));
-    }
-    apply_failure_to_round(*st, *rank_j, k_or_sentinel);
+    // Line 22: R-broadcast the notification onward, tagged with each round
+    // that learned it (every round needs its own failure stream).
+    send_fail(st->round, global_j, global_k);
+    apply_failure_to_round(*st, global_j, global_k);
   }
 }
 
-void Engine::apply_failure_to_round(RoundState& st, std::size_t rank_j,
-                                    NodeId k_rank_or_sentinel) {
-  // A round still on the fast path has no tracking to update (a complete
-  // fast round records the pair for carry-forward only; an incomplete one
-  // is transitioned by the caller before this runs).
+void Engine::send_fail(Round r, NodeId global_j, NodeId global_k) {
+  stats_.fail_sent +=
+      send_to_successors(Message::fail(r, global_j, global_k));
+}
+
+void Engine::apply_failure_to_round(RoundState& st, NodeId global_j,
+                                    NodeId global_k) {
+  // A fast round has no tracking to update (an incomplete one is
+  // transitioned by the caller before this runs).
   if (st.fast) return;
+  const std::size_t rank_j = *view_->rank_of(global_j);
+  // The detector may have left the membership between rounds; its
+  // non-receipt information is then moot (it is not a successor in the
+  // current overlay), but "p_j failed" still matters.
+  const auto rank_k = view_->rank_of(global_k);
+  const NodeId k_rank_or_sentinel =
+      rank_k ? static_cast<NodeId>(*rank_k) : kInvalidNode;
   // Lines 24-41: update every tracking digraph that contains p_j. The
   // digraphs run over the monitor overlay: in dual mode a message may
   // have been relayed along either G_U or G_R, so "whom could m_j have
   // reached" must chase the union's edges.
-  const Knowledge fk(*this, st);
+  const auto fk = evidence_.at(st.round);
   for (std::size_t r = 0; r < st.tracking.size(); ++r) {
     if (st.tracking[r].empty()) continue;
     if (st.tracking[r].on_failure(static_cast<NodeId>(rank_j),
@@ -853,29 +796,20 @@ void Engine::apply_failure_to_round(RoundState& st, std::size_t rank_j,
 void Engine::handle_fwdbwd(NodeId from, const Message& msg, RoundState& st) {
   ++stats_.fwd_bwd_received;
   if (options_.fd_mode != FdMode::kEventuallyPerfect) return;
-  const auto from_rank = view_->rank_of(from);
-  if (from_rank && suspected_rank_[*from_rank]) {
-    ++stats_.dropped_suspected;
-    return;
-  }
-  const auto origin_rank = view_->rank_of(msg.origin);
-  if (!origin_rank) {
-    ++stats_.dropped_foreign;
-    return;
-  }
+  const auto origin_rank = admit(from, msg);
+  if (!origin_rank) return;
   if (msg.type == MsgType::kFwd) {
     if (st.fwd_seen[*origin_rank]) return;
     st.fwd_seen[*origin_rank] = true;
     if (msg.origin != self_) ++st.fwd_count;
-    send_to_successors(msg, from);
+    stats_.fwd_bwd_sent += send_to_successors(msg, from);
   } else {
     if (st.bwd_seen[*origin_rank]) return;
     st.bwd_seen[*origin_rank] = true;
     if (msg.origin != self_) ++st.bwd_count;
     // ⟨BWD⟩ travels on the transpose of G.
-    send_to_predecessors(msg, from);
+    stats_.fwd_bwd_sent += send_to_predecessors(msg, from);
   }
-  ++stats_.fwd_bwd_sent;
   check_termination(st);
 }
 
@@ -901,9 +835,9 @@ void Engine::check_termination(RoundState& st) {
       st.decided = true;
       st.fwd_seen[self_rank_] = true;
       st.bwd_seen[self_rank_] = true;
-      send_to_successors(Message::fwd(st.round, self_));
-      send_to_predecessors(Message::bwd(st.round, self_));
-      stats_.fwd_bwd_sent += 2;
+      stats_.fwd_bwd_sent +=
+          send_to_successors(Message::fwd(st.round, self_)) +
+          send_to_predecessors(Message::bwd(st.round, self_));
     }
     // Deliver only inside a surviving partition: ⌊n/2⌋ distinct FWD and
     // BWD origins besides ourselves make a strict majority with us.
@@ -1012,37 +946,15 @@ void Engine::deliver_front() {
       return;
     }
 
-    auto next_view = std::make_shared<const View>(view_->next(
+    view_ = std::make_shared<const View>(view_->next(
         removed_all, result.joined, builder_, options_.fast_builder));
-
-    // Carry failure notifications of servers that remain members
-    // (line 12); open_round() seeds the new epoch's first round from
-    // carry_fails_ and re-disseminates them under its tag.
-    carry_fails_.clear();
-    for (const auto& [j, k] : st.fails) {
-      if (next_view->contains(j)) carry_fails_.insert({j, k});
-    }
-    view_ = std::move(next_view);
-    suspected_rank_.assign(view_->size(), false);
-    for (const auto& [j, k] : carry_fails_) {
-      if (k == self_) {
-        const auto rank_j = view_->rank_of(j);
-        ALLCONCUR_ASSERT(rank_j.has_value(), "carried failure left the view");
-        suspected_rank_[*rank_j] = true;
-      }
-    }
+    // Carry the failure evidence about servers that remain members (line
+    // 12); open_round() re-disseminates it under each new round's tag.
+    evidence_.set_view(view_);
     epoch_absent_.clear();
     epoch_leaves_.clear();
     epoch_joined_.clear();
     epoch_close_.reset();
-  } else {
-    // Carry on every transition, not only at epoch closes (classic line
-    // 12): with W = 1 the window is empty the instant the front pops, so
-    // the next round seeds from carry_fails_ — without this, a pair
-    // learned during a round whose origin still delivered (crash after a
-    // complete broadcast) would vanish and the dead server's tracking
-    // could never resolve again.
-    carry_fails_ = st.fails;
   }
 
   std::unique_ptr<RoundState> done = std::move(window_.front());

@@ -27,6 +27,8 @@
 //     carried failure notifications; the close round t+W-1 reports the
 //     accumulated removed/joined sets and the next round starts the new
 //     view. With W = 1 this is exactly the classic per-round iteration.
+//   * Every open round's F_i has one owner, core::FailureEvidence (each
+//     ⟨FAIL⟩ pair once, with its first round); send_fail() sends them.
 //   * Messages beyond the window (round > r_delivered+W) are counted in
 //     EngineStats::dropped_ahead; those still reachable by a live peer
 //     (≤ r_delivered+2W — a peer can be at most W rounds ahead of our
@@ -62,10 +64,10 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "core/batch.hpp"
+#include "core/failure_evidence.hpp"
 #include "core/message.hpp"
 #include "core/tracking.hpp"
 #include "core/view.hpp"
@@ -99,7 +101,11 @@ struct RoundResult {
 
 struct EngineStats {
   std::uint64_t bcast_sent = 0, bcast_received = 0;
+  /// ⟨FAIL⟩ sends. A pair is re-sent under each open round's tag (each
+  /// open round that learns it, each newly opened round): up to W copies
+  /// of one pair per link where one would carry the evidence.
   std::uint64_t fail_sent = 0, fail_received = 0;
+  /// ⋄P gate traffic; like every *_sent counter, counts actual sends.
   std::uint64_t fwd_bwd_sent = 0, fwd_bwd_received = 0;
   // ---- Dual-digraph fast path (AllConcur+ mode) ----
   std::uint64_t ubcast_sent = 0, ubcast_received = 0;   ///< G_U traffic
@@ -202,8 +208,6 @@ class Engine {
   Round current_round() const { return base_round_; }
   const View& view() const { return *view_; }
   const EngineStats& stats() const { return stats_; }
-  /// True iff the oldest open round carries this server's own broadcast.
-  bool has_broadcast() const;
   bool departed() const { return departed_; }
   std::size_t window() const { return options_.window; }
   /// Lowest open round this server has not yet broadcast in (== the round
@@ -251,9 +255,6 @@ class Engine {
 
   /// True iff the dual-digraph fast path is enabled.
   bool fast_path() const { return static_cast<bool>(options_.fast_builder); }
-  /// Dual mode: true iff the oldest open round saw any activity (own
-  /// broadcast or a received message) — the watchdog's "armed" signal.
-  bool front_round_active() const;
   /// Dual mode: monotone per-round progress counter of the oldest open
   /// round (messages received + own broadcast). The watchdog re-arms its
   /// deadline whenever this moves, so a legitimately slow round (latency
@@ -270,14 +271,9 @@ class Engine {
   const TrackingDigraph& tracking_of(std::size_t rank) const;
 
  private:
-  class Knowledge;  // FailureKnowledge adapter over engine state
-
-  /// All per-round protocol state (Algorithm 1's M_i and F_i, the
-  /// tracking digraphs, and the ⋄P gate), pooled and recycled across
-  /// rounds. The failure set is per round because a ⟨FAIL, p_j, p_k⟩
-  /// tagged with round r asserts "p_k did not receive m_j^(r)" — valid
-  /// for r and, since suspicion persists, every later round, but *not*
-  /// for earlier open rounds (p_k may well have received m_j there).
+  /// All per-round protocol state (Algorithm 1's M_i, the tracking
+  /// digraphs, and the ⋄P gate), pooled and recycled across rounds. F_i
+  /// lives once in evidence_, read at the round's number.
   struct RoundState {
     Round round = 0;
     std::vector<Payload> msgs;             // by rank
@@ -302,8 +298,6 @@ class Engine {
     bool assisted = false;
     std::vector<TrackingDigraph> tracking;
     std::size_t active_tracking = 0;
-    std::set<std::pair<NodeId, NodeId>> fails;  // F_i, global-id pairs
-    std::vector<bool> failed_rank;
     std::vector<bool> lost;  // tracking pruned: message declared lost
     // ⋄P state.
     bool decided = false;
@@ -335,7 +329,7 @@ class Engine {
 
   RoundState* find_round(Round r);
   /// Opens the next round after the current window tail (pool-recycled
-  /// state, carried failure notifications re-seeded and re-disseminated).
+  /// state, held failure evidence applied and re-disseminated).
   void open_round();
   void refill_window();
   void recycle(std::unique_ptr<RoundState> st);
@@ -351,6 +345,9 @@ class Engine {
   /// not yet received, seeding active_tracking. Classic rounds run it at
   /// open; dual-mode rounds only on the fallback transition.
   void init_tracking(RoundState& st);
+  /// Admits a round message relayed by `from`: returns its origin's rank,
+  /// or drops it (suspected link peer, origin not a member).
+  std::optional<std::size_t> admit(NodeId from, const Message& msg);
   /// Handles ⟨BCAST⟩ and ⟨UBCAST⟩ — the payload semantics are identical;
   /// only the relay overlay differs by the round's current mode.
   void handle_bcast(NodeId from, const Message& msg, RoundState& st);
@@ -364,9 +361,9 @@ class Engine {
   /// flip to tracked mode, re-broadcast our message and relay everything
   /// held over G_R (strictly before any round-r ⟨FAIL⟩ leaves — the
   /// per-link FIFO discipline the tracking inferences rest on), then
-  /// replay the accumulated failure pairs against the fresh digraphs.
-  /// Complete fast round: keep the completion (the set is the full view
-  /// — the only set a fast round can decide) and assist.
+  /// instantiate the tracking digraphs. Complete fast round: keep the
+  /// completion (the set is the full view — the only set a fast round
+  /// can decide) and assist.
   void enter_fallback(RoundState& st);
   /// Local fallback trigger (suspicion / timeout / FAIL for a fast
   /// round): R-broadcast ⟨FALLBACK, r⟩, then run the transition.
@@ -382,15 +379,22 @@ class Engine {
   void rebroadcast_reliable(Round round, NodeId origin_global,
                             const Payload& payload, std::uint64_t bytes);
   void retain_delivered(const RoundState& st, const RoundResult& result);
-  void handle_fail(const Message& msg);
+  /// Counts a dropped round message under its reason's dropped_* counter
+  /// and records it: the only place those counters move.
+  void drop(obs::DropReason why, const Message& msg, NodeId from);
+  void handle_fail(NodeId from, const Message& msg);
   void handle_fwdbwd(NodeId from, const Message& msg, RoundState& st);
-  /// Records (p_j, p_k) in every open round ≥ `from_round` (suspicion
-  /// persists forward, never backward); each round that learns the pair
-  /// disseminates it under its own tag and updates its tracking digraphs.
-  void learn_failure(NodeId global_j, NodeId global_k, Round from_round,
-                     bool disseminate);
-  void apply_failure_to_round(RoundState& st, std::size_t rank_j,
-                              NodeId k_rank_or_sentinel);
+  /// Records member p_j's (p_j, p_k) from `from_round` on (never
+  /// backward); each open round that learns it sends it under its own tag
+  /// and updates its tracking digraphs.
+  void learn_failure(NodeId global_j, NodeId global_k, Round from_round);
+  /// The one ⟨FAIL⟩ send, under round r's tag. Callers relay held round-r
+  /// messages first: on every link a message precedes the failure
+  /// evidence about it (the AllConcur+ FIFO rule).
+  void send_fail(Round r, NodeId global_j, NodeId global_k);
+  /// Lines 24-41: st's tracking digraphs process (p_j, p_k).
+  void apply_failure_to_round(RoundState& st, NodeId global_j,
+                              NodeId global_k);
   /// Encode-once fan-out: the wire frame is built lazily on the first
   /// live destination and shared by reference with every further one.
   /// Returns the number of messages actually handed to the send hook.
@@ -469,16 +473,9 @@ class Engine {
   // vertex/edge capacity is reused when it grows again.
   std::vector<TrackingDigraph> tracking_spares_;
 
+  FailureEvidence evidence_;  // F_i of every open round
+
   // ---- Epoch state (valid for every open round; reset on view switch) --
-  /// Own-FD suspicions by rank. Epoch-level: a suspicion raised "now"
-  /// covers every open round (all ≥ the round it was raised in), and
-  /// carried pairs re-seed it across the view switch, like the classic
-  /// per-round re-seeding did.
-  std::vector<bool> suspected_rank_;
-  /// Failure pairs carried across a view switch (line 12): seeds the
-  /// first round of the new epoch; within an epoch each new round seeds
-  /// from its predecessor's F_i instead.
-  std::set<std::pair<NodeId, NodeId>> carry_fails_;
   /// Set once a delivered round decides a membership change: the last
   /// round of the current view's epoch (= decision round + W - 1). No
   /// round beyond it opens until the window drained and the view

@@ -78,10 +78,6 @@ std::vector<NodeId> View::fast_successors_of(NodeId id) const {
   return neighbors(fast_overlay_, id, true);
 }
 
-std::vector<NodeId> View::fast_predecessors_of(NodeId id) const {
-  return neighbors(fast_overlay_, id, false);
-}
-
 std::vector<NodeId> View::monitor_successors_of(NodeId id) const {
   return neighbors(monitor_overlay(), id, true);
 }

@@ -45,8 +45,6 @@ class View {
 
   /// True iff this view carries a paired unreliable overlay G_U.
   bool has_fast_overlay() const { return fast_overlay_.order() > 0; }
-  /// Unreliable overlay G_U (dual-digraph mode only).
-  const graph::Digraph& fast_overlay() const { return fast_overlay_; }
   /// Union overlay G_U ∪ G_R over ranks — the digraph message tracking
   /// and failure monitoring must assume in dual mode (a message may have
   /// travelled either graph). Equals overlay() without a fast overlay.
@@ -59,7 +57,6 @@ class View {
   std::vector<NodeId> predecessors_of(NodeId id) const;
   /// Same along G_U (dual-digraph mode only).
   std::vector<NodeId> fast_successors_of(NodeId id) const;
-  std::vector<NodeId> fast_predecessors_of(NodeId id) const;
   /// Neighbors along the monitor overlay: the links a failure detector
   /// must watch and a dual-mode transport must maintain. Without a fast
   /// overlay these are exactly successors_of / predecessors_of.

@@ -324,7 +324,7 @@ TEST(SimClusterEventOrder, PinnedDigest) {
 // then node 6 crashes. Failure pairs are carried across the window and
 // across both epoch switches (node 2's own suspicions of its
 // predecessors outlive node 2). Same FNV-1a digest as above.
-TEST(SimClusterEventOrder, DiamondPPinnedDigest) {
+ClusterOptions diamond_p_options() {
   ClusterOptions opt;
   opt.n = 9;
   opt.window = 3;
@@ -334,7 +334,11 @@ TEST(SimClusterEventOrder, DiamondPPinnedDigest) {
   opt.auto_heal = true;
   opt.chaos = std::make_shared<chaos::ScenarioEngine>(
       chaos::Scenario(0xD1A9).gray(ms(40), ms(70), 2, ms(30)));
-  SimCluster c(opt);
+  return opt;
+}
+
+TEST(SimClusterEventOrder, DiamondPPinnedDigest) {
+  SimCluster c(diamond_p_options());
 
   std::uint64_t digest = 0xcbf29ce484222325ull;
   auto mix = [&digest](std::uint64_t v) {
@@ -372,6 +376,53 @@ TEST(SimClusterEventOrder, DiamondPPinnedDigest) {
   EXPECT_EQ(deliveries, 7701u);
   EXPECT_EQ(c.sim().events_processed(), 907824u);
   EXPECT_EQ(digest, 1567377241879172244ull);
+}
+
+// Every dropped_* increment records a kDroppedMsg of the matching reason,
+// per node, over the same false-suspicion-plus-crash run.
+TEST(SimClusterDrops, EveryDropIsRecorded) {
+  ClusterOptions opt = diamond_p_options();
+  // Plus a link outage: node 0 falsely suspects its predecessor 4, which
+  // stays a member (its messages arrive relayed), so 4's later traffic
+  // over the healed link is dropped as from a suspect.
+  opt.chaos = std::make_shared<chaos::ScenarioEngine>(
+      chaos::Scenario(0xD1A9)
+          .gray(ms(40), ms(70), 2, ms(30))
+          .link_down(ms(90), ms(115), 4, 0));
+  opt.recorder_capacity = 1 << 17;
+  SimCluster c(opt);
+  c.on_deliver = [&](NodeId who, const RoundResult&, TimeNs) {
+    c.submit_opaque(who, 64);
+    c.broadcast_now(who);
+  };
+  c.crash_at(6, ms(120));
+  c.broadcast_all_now();
+  c.run_for(ms(160));
+
+  core::EngineStats total;
+  for (NodeId id = 0; c.exists(id); ++id) {
+    const obs::FlightRecorder* rec = c.recorder(id);
+    ASSERT_EQ(rec->dropped(), 0u) << "node " << id << ": ring too small";
+    std::uint64_t recorded[4] = {};
+    for (const auto& e : rec->events()) {
+      if (e.kind == obs::EventKind::kDroppedMsg) ++recorded[e.a];
+    }
+    const core::EngineStats& s = c.engine(id).stats();
+    using R = obs::DropReason;
+    EXPECT_EQ(recorded[static_cast<int>(R::kStale)], s.dropped_stale)
+        << "node " << id;
+    EXPECT_EQ(recorded[static_cast<int>(R::kSuspectedOrigin)],
+              s.dropped_suspected)
+        << "node " << id;
+    EXPECT_EQ(recorded[static_cast<int>(R::kForeignEpoch)], s.dropped_foreign)
+        << "node " << id;
+    EXPECT_EQ(recorded[static_cast<int>(R::kLostRace)], s.dropped_lost)
+        << "node " << id;
+    total.dropped_suspected += s.dropped_suspected;
+    total.dropped_foreign += s.dropped_foreign;
+  }
+  EXPECT_GT(total.dropped_suspected, 0u);
+  EXPECT_GT(total.dropped_foreign, 0u);
 }
 
 // ---------------------------------------------------------------------

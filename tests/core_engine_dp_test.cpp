@@ -48,6 +48,28 @@ TEST(DpMode, FwdBwdTrafficFlows) {
   }
 }
 
+TEST(DpMode, FwdBwdSentCountsActualSends) {
+  // Every frame the engines hand to their send hooks crosses the filter
+  // (which drops none): the engines' fwd_bwd_sent must add up to the
+  // FWD/BWD frames on the links, like bcast_sent and fail_sent do. (Most
+  // of them reach a server that already delivered the round and are
+  // dropped as stale, so fwd_bwd_received cannot serve as the reference.)
+  LoopbackCluster c(5, complete_builder(), dp_mode());
+  std::uint64_t on_links = 0;
+  c.drop_filter = [&on_links](NodeId, NodeId, const Message& m) {
+    if (m.type == MsgType::kFwd || m.type == MsgType::kBwd) ++on_links;
+    return false;
+  };
+  for (int r = 0; r < 3; ++r) {
+    for (NodeId i = 0; i < 5; ++i) c.engine(i).broadcast_now();
+    c.pump();
+  }
+  std::uint64_t sent = 0;
+  for (NodeId i = 0; i < 5; ++i) sent += c.engine(i).stats().fwd_bwd_sent;
+  EXPECT_GT(on_links, 0u);
+  EXPECT_EQ(sent, on_links);
+}
+
 TEST(DpMode, MultipleRoundsIterate) {
   LoopbackCluster c(5, complete_builder(), dp_mode());
   for (int r = 0; r < 3; ++r) {
