@@ -389,7 +389,7 @@ TEST(SimClusterDrops, EveryDropIsRecorded) {
       chaos::Scenario(0xD1A9)
           .gray(ms(40), ms(70), 2, ms(30))
           .link_down(ms(90), ms(115), 4, 0));
-  opt.recorder_capacity = 1 << 17;
+  opt.recorder_capacity = 1 << 15;
   SimCluster c(opt);
   c.on_deliver = [&](NodeId who, const RoundResult&, TimeNs) {
     c.submit_opaque(who, 64);
