@@ -190,6 +190,96 @@ TEST(SimKv, JoinerCatchesUpFromSnapshotAndLog) {
   expect_converged(c);
 }
 
+// Join at W > 1: a heartbeat-detected crash makes auto-heal admit a
+// standby while rounds are pipelined around the join. The standby's
+// replica mounts at its first round (the round after the one that
+// admitted it) and matches replica 0 byte for byte from then on. The
+// digest covers deliveries, the event count and every live replica's
+// state hash; the SMR layer only observes the stream, so how the joiner
+// catches up must not move it.
+TEST(SimKv, PipelinedJoinerMountsAtItsFirstRound) {
+  SimKvOptions opt;
+  opt.cluster.n = 8;
+  opt.cluster.window = 4;
+  opt.cluster.heartbeat_fd = true;
+  opt.cluster.auto_heal = true;
+  SimKvCluster c(opt);
+  constexpr NodeId kJoiner = 8;  // the first standby id
+
+  std::uint64_t digest = 0xcbf29ce484222325ull;  // FNV-1a over the fields
+  auto mix = [&digest](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      digest = (digest ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ull;
+    }
+  };
+  std::size_t deliveries = 0;
+  std::optional<Round> joiner_first;
+  bool compared = false;
+  c.on_deliver = [&](NodeId who, const core::RoundResult& r, TimeNs t) {
+    ++deliveries;
+    mix(who);
+    mix(r.round);
+    mix(static_cast<std::uint64_t>(t));
+    for (const auto& d : r.deliveries) {
+      mix(d.origin);
+      mix(d.bytes);
+    }
+    for (NodeId id : r.removed) mix(id);
+    for (NodeId id : r.joined) {
+      mix(id);
+      if (id == kJoiner && !joiner_first) joiner_first = r.round + 1;
+    }
+    if (who == kJoiner || who == 0) {
+      // The first time both stand at the same round past the join, the
+      // joiner's state is replica 0's, counters and sessions included.
+      if (!compared && c.has_replica(kJoiner) &&
+          c.replica(kJoiner).next_round() > *joiner_first &&
+          c.replica(kJoiner).next_round() == c.replica(0).next_round()) {
+        compared = true;
+        EXPECT_EQ(c.replica(kJoiner).snapshot(), c.replica(0).snapshot());
+      }
+    }
+    c.cluster().broadcast_now(who);  // keep rounds going
+  };
+
+  constexpr NodeId kContacts[] = {0, 1, 2, 4, 5, 6, 7};  // 3 crashes
+  std::vector<KvSession> writers;
+  for (int i = 0; i < 3; ++i) writers.push_back(c.make_session());
+  c.cluster().crash_at(3, ms(5));
+  for (int step = 0; step < 40; ++step) {
+    const NodeId node = kContacts[(step * 3) % 7];
+    const auto r = c.execute(node, writers[step % 3],
+                             Command::put(b("k" + std::to_string(step % 13)),
+                                          b(std::to_string(step))));
+    ASSERT_TRUE(r.has_value()) << "step " << step;
+    mix(r->value.size());
+  }
+  // Fixed-length tail: the joiner's mount must not steer the run.
+  c.cluster().broadcast_all_now();
+  c.cluster().run_for(ms(300));
+
+  ASSERT_TRUE(joiner_first.has_value()) << "the standby was never admitted";
+  ASSERT_TRUE(c.has_replica(kJoiner)) << "joiner never mounted a replica";
+  EXPECT_TRUE(c.cluster().alive(kJoiner));
+  EXPECT_FALSE(c.cluster().alive(3));
+  EXPECT_GT(c.replica(kJoiner).next_round(), *joiner_first);
+  EXPECT_TRUE(compared) << "joiner and replica 0 never stood at one round";
+  EXPECT_EQ(c.kv(kJoiner).get_local(b("k0")), c.kv(0).get_local(b("k0")));
+  EXPECT_TRUE(c.converged());
+  expect_converged(c);
+
+  mix(c.sim().events_processed());
+  for (NodeId id : c.cluster().live_nodes()) {
+    mix(id);
+    mix(c.replica(id).next_round());
+    mix(c.replica(id).state_hash());
+  }
+  EXPECT_EQ(*joiner_first, 69u);
+  EXPECT_EQ(deliveries, 33071u);
+  EXPECT_EQ(c.sim().events_processed(), 1392197u);
+  EXPECT_EQ(digest, 7596610324126362806ull);
+}
+
 TEST(SimKv, LaggingReplicaSpawnsFromRetainedSnapshot) {
   SimKvOptions opt = small_cluster(5);
   opt.snapshot_every = 4;
