@@ -52,64 +52,61 @@ KvSession SimKvCluster::make_session() { return KvSession(next_session_++); }
 
 void SimKvCluster::handle_delivery(NodeId who, const core::RoundResult& result,
                                    TimeNs when) {
-  round_log_.try_emplace(result.round, result);
-  drain_reference();
-
-  if (!replicas_[who]) {
-    // A joiner. Its activation can complete a round synchronously inside
-    // its sponsor's delivery (preactivation replay), i.e. before the
-    // round that committed the join was even logged — so buffer until
-    // the agreed history below its first round is complete, then mount
-    // by snapshot + bounded log replay (never by replaying from 0).
-    pending_mounts_[who].push_back(result);
-  } else {
+  advance_reference(result);
+  if (replicas_[who]) {
     apply_to(who, result);
+  } else {
+    // A joiner whose admitting round the reference has not applied yet
+    // (preactivation replay): buffer until its replica mounts.
+    pending_mounts_[who].push_back(result);
   }
-  flush_pending_mounts();
-
+  std::erase_if(pending_mounts_, [this](const auto& pending) {
+    if (!replicas_[pending.first]) return false;
+    for (const auto& round : pending.second) apply_to(pending.first, round);
+    return true;
+  });
   if (on_deliver) on_deliver(who, result, when);
 }
 
-void SimKvCluster::drain_reference() {
-  for (auto it = round_log_.find(reference_.next_round());
-       it != round_log_.end();
-       it = round_log_.find(reference_.next_round())) {
-    reference_.on_round(it->second);
-    hash_after_round_[it->first] = reference_.state_hash();
-    if (options_.snapshot_every > 0 &&
-        reference_.next_round() % options_.snapshot_every == 0) {
-      snapshots_.emplace_back(reference_.next_round(), reference_.snapshot());
-      while (snapshots_.size() >
-             std::max<std::size_t>(1, options_.keep_snapshots)) {
-        snapshots_.pop_front();
-      }
-      // The log only feeds catch-up from retained restore points; the
-      // guard hashes age out with it (a replica lagging below the
-      // oldest restore point skips the guard, like it skips catch-up),
-      // keeping memory bounded on long runs.
-      round_log_.erase(round_log_.begin(),
-                       round_log_.lower_bound(snapshots_.front().first));
-      hash_after_round_.erase(
-          hash_after_round_.begin(),
-          hash_after_round_.lower_bound(snapshots_.front().first));
-    }
+void SimKvCluster::advance_reference(const core::RoundResult& result) {
+  if (result.round > reference_.next_round()) {
+    reorder_.try_emplace(result.round, result);
+    return;
+  }
+  if (result.round < reference_.next_round()) return;
+  apply_reference(result);
+  for (auto it = reorder_.begin();
+       it != reorder_.end() && it->first == reference_.next_round();
+       it = reorder_.erase(it)) {
+    apply_reference(it->second);
   }
 }
 
-void SimKvCluster::flush_pending_mounts() {
-  for (auto it = pending_mounts_.begin(); it != pending_mounts_.end();) {
-    const Round first = it->second.front().round;
-    if (reference_.next_round() < first) {
-      ++it;
-      continue;
+void SimKvCluster::apply_reference(const core::RoundResult& result) {
+  reference_.on_round(result);
+  hash_after_round_.push_back(reference_.state_hash());
+  // A replica checks every round above its last applied one, and
+  // converged() reads its last applied one. Dead and departed replicas
+  // apply nothing more, so they hold no hash back.
+  Round keep_from = reference_.next_round();
+  for (NodeId id = 0; id < replicas_.size(); ++id) {
+    if (replicas_[id] && cluster_.alive(id) &&
+        !cluster_.engine(id).departed()) {
+      keep_from = std::min(
+          keep_from, std::max<Round>(replicas_[id]->next_round(), 1) - 1);
     }
-    replicas_[it->first] = spawn_replica_at(first);
-    ALLCONCUR_ASSERT(replicas_[it->first] != nullptr,
-                     "joiner catch-up outran the retained log");
-    for (const core::RoundResult& result : it->second) {
-      apply_to(it->first, result);
-    }
-    it = pending_mounts_.erase(it);
+  }
+  for (; first_hashed_ < keep_from; ++first_hashed_) {
+    hash_after_round_.pop_front();
+  }
+  if (result.joined.empty()) return;
+  // A joiner is admitted from the next round, which is where the
+  // reference now stands: its replica starts from this state.
+  const auto snapshot = reference_.snapshot();
+  for (NodeId joiner : result.joined) {
+    replicas_[joiner] = make_kv_replica();
+    const bool ok = replicas_[joiner]->restore(snapshot);
+    ALLCONCUR_ASSERT(ok, "join snapshot failed to restore");
   }
 }
 
@@ -117,9 +114,8 @@ void SimKvCluster::apply_to(NodeId who, const core::RoundResult& result) {
   replicas_[who]->on_round(result);
   // Divergence guard: every replica that applies round R must land on the
   // reference hash. A silent ordering/determinism bug dies here, loudly.
-  const auto expected = hash_after_round_.find(result.round);
-  if (expected != hash_after_round_.end() &&
-      replicas_[who]->state_hash() != expected->second) {
+  const auto expected = hash_after(result.round);
+  if (expected && replicas_[who]->state_hash() != *expected) {
     // Ship the evidence before dying: the per-replica round timelines
     // identify where the diverging node's history forked.
     if (auto* rec = cluster_.recorder(who)) {
@@ -138,33 +134,12 @@ void SimKvCluster::apply_to(NodeId who, const core::RoundResult& result) {
   }
 }
 
-const core::RoundResult* SimKvCluster::logged_round(Round round) const {
-  const auto it = round_log_.find(round);
-  return it == round_log_.end() ? nullptr : &it->second;
-}
-
-std::unique_ptr<Replica> SimKvCluster::spawn_replica_at(Round upto) const {
-  auto replica = make_kv_replica();
-  // Newest retained restore point at or before `upto`.
-  for (auto it = snapshots_.rbegin(); it != snapshots_.rend(); ++it) {
-    if (it->first <= upto) {
-      const bool ok = replica->restore(it->second);
-      ALLCONCUR_ASSERT(ok, "retained snapshot failed to restore");
-      break;
-    }
-  }
-  for (Round r = replica->next_round(); r < upto; ++r) {
-    const core::RoundResult* logged = logged_round(r);
-    if (!logged) return nullptr;
-    replica->on_round(*logged);
-  }
-  return replica;
-}
-
 std::optional<std::uint64_t> SimKvCluster::hash_after(Round round) const {
-  const auto it = hash_after_round_.find(round);
-  if (it == hash_after_round_.end()) return std::nullopt;
-  return it->second;
+  if (round < first_hashed_ ||
+      round - first_hashed_ >= hash_after_round_.size()) {
+    return std::nullopt;
+  }
+  return hash_after_round_[round - first_hashed_];
 }
 
 bool SimKvCluster::converged() const {
@@ -173,8 +148,8 @@ bool SimKvCluster::converged() const {
     const Round next = replicas_[id]->next_round();
     if (next == 0) continue;
     const auto expected = hash_after(next - 1);
-    // A hash that aged out with the log was already asserted when the
-    // replica applied that round (apply_to's guard) — skip, don't fail.
+    // A departed replica's hash may be gone; apply_to's guard checked it
+    // when the replica applied that round — skip, don't fail.
     if (expected && replicas_[id]->state_hash() != *expected) return false;
   }
   return true;

@@ -4,12 +4,13 @@
 //
 // Beyond per-node replicas it keeps the machinery a real deployment
 // needs:
-//   * a round log (each agreed RoundResult, recorded once) and periodic
-//     reference snapshots, so joiners and lagging replicas catch up via
-//     snapshot + bounded log replay instead of replaying from round 0;
-//   * a per-round divergence guard: the reference replica's state hash is
-//     recorded when a round is first applied, and every other replica is
-//     asserted against it — a silent ordering bug aborts loudly;
+//   * a reference replica that applies each agreed round once; AllConcur
+//     admits a joiner at a round boundary, so when the reference applies
+//     the round admitting one it takes a snapshot, and the joiner's
+//     replica mounts from it at its first round (no replay from round 0);
+//   * a per-round divergence guard: every replica is asserted against the
+//     reference's hash after each round (kept until every live replica
+//     checked it) — a silent ordering bug aborts loudly;
 //   * client session plumbing: execute() submits a command at a node,
 //     runs the simulation until the command's response is applied there,
 //     and returns it; retry() resubmits the last command (possibly at a
@@ -37,12 +38,6 @@ namespace allconcur::smr {
 
 struct SimKvOptions {
   api::ClusterOptions cluster;
-  /// Take a reference snapshot every this many rounds (join/catch-up
-  /// restore points). 0 disables periodic snapshots.
-  Round snapshot_every = 8;
-  /// Restore points retained; the round log is truncated below the
-  /// oldest retained snapshot.
-  std::size_t keep_snapshots = 4;
 };
 
 class SimKvCluster {
@@ -98,29 +93,23 @@ class SimKvCluster {
   /// Runs the simulation until node `id` applied round `round`.
   bool read_barrier(NodeId id, Round round, DurationNs budget = sec(5));
 
-  // ---- Catch-up machinery ----
-  /// The agreed result of a logged round (nullptr if truncated/unknown).
-  const core::RoundResult* logged_round(Round round) const;
-  /// Builds a fresh replica from the best retained snapshot ≤ `upto` and
-  /// replays the log to round `upto` (exclusive). Returns nullptr if the
-  /// log no longer covers the gap.
-  std::unique_ptr<Replica> spawn_replica_at(Round upto) const;
-
   /// True iff all live replicas that reached the same round agree on the
   /// state hash (the per-round guard asserts this continuously; this is
   /// the end-of-test summary check).
   bool converged() const;
-  /// Reference hash after applying `round` (nullopt if not yet applied).
+  /// Reference hash after applying `round`: nullopt if not yet applied,
+  /// or if every live replica has moved past it.
   std::optional<std::uint64_t> hash_after(Round round) const;
 
  private:
   void handle_delivery(NodeId who, const core::RoundResult& result,
                        TimeNs when);
-  /// Advances the reference replica over consecutively logged rounds,
-  /// recording hashes and taking periodic restore points.
-  void drain_reference();
-  /// Mounts replicas for joiners whose history gap has been filled.
-  void flush_pending_mounts();
+  /// Applies `result` to the reference once every round below it was,
+  /// holding it in the reorder buffer until then.
+  void advance_reference(const core::RoundResult& result);
+  /// One reference step: hashes the round, drops the hashes no replica
+  /// needs any more and mounts the joiners the round admits.
+  void apply_reference(const core::RoundResult& result);
   void apply_to(NodeId who, const core::RoundResult& result);
   bool drive(DurationNs budget, const std::function<bool()>& done);
   std::optional<KvResponse> await_response(NodeId node,
@@ -131,17 +120,18 @@ class SimKvCluster {
   api::SimCluster cluster_;
   std::vector<std::unique_ptr<Replica>> replicas_;  // indexed by NodeId
 
-  // Agreed history: RoundResults are identical across nodes, recorded on
-  // first delivery. The reference replica applies them as consecutive
-  // rounds become available (a freshly activated joiner can deliver its
-  // first round before its sponsor's own delivery callback ran, so first
-  // observations are not always in order) and provides the per-round
-  // hash and the periodic snapshots.
-  std::map<Round, core::RoundResult> round_log_;
+  // RoundResults are identical across nodes; the reference applies each
+  // on its first delivery anywhere. A freshly activated joiner can
+  // deliver its first round inside its sponsor's delivery of the round
+  // admitting it, before that round reached this layer: such rounds wait
+  // in the reorder buffer.
   Replica reference_;
-  std::map<Round, std::uint64_t> hash_after_round_;
-  std::deque<std::pair<Round, std::vector<std::uint8_t>>> snapshots_;
-  // Joiner deliveries buffered until the history below them is complete.
+  std::map<Round, core::RoundResult> reorder_;
+  // Hash after each round from first_hashed_ on, up to the reference's.
+  std::deque<std::uint64_t> hash_after_round_;
+  Round first_hashed_ = 0;
+  // Deliveries of joiners whose admitting round the reference has not
+  // applied yet.
   std::map<NodeId, std::vector<core::RoundResult>> pending_mounts_;
 
   std::uint64_t next_session_ = 1;

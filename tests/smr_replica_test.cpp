@@ -163,10 +163,8 @@ TEST(SimKv, CrashedBroadcastThatEscapedIsNotAppliedTwice) {
   expect_converged(c);
 }
 
-TEST(SimKv, JoinerCatchesUpFromSnapshotAndLog) {
-  SimKvOptions opt = small_cluster(8);
-  opt.snapshot_every = 4;  // exercise snapshot + log-replay catch-up
-  SimKvCluster c(opt);
+TEST(SimKv, JoinerMountsFromTheStateAtItsFirstRound) {
+  SimKvCluster c(small_cluster(8));
   auto session = c.make_session();
   for (int i = 0; i < 10; ++i) {
     const auto key = b("key-" + std::to_string(i));
@@ -174,19 +172,51 @@ TEST(SimKv, JoinerCatchesUpFromSnapshotAndLog) {
   }
 
   const NodeId joiner = c.cluster().schedule_join(c.sim().now(), 0);
-  c.cluster().broadcast_all_now();
-  // Drive rounds until the joiner has applied some (its replica is
-  // mounted via snapshot restore + bounded log replay, then verified by
-  // the per-round hash guard like everyone else).
+  std::optional<Round> first;  // the joiner's first round
+  c.on_deliver = [&](NodeId, const core::RoundResult& r, TimeNs) {
+    for (NodeId id : r.joined) {
+      if (id == joiner) first = r.round + 1;
+    }
+  };
+  // Drive rounds until the joiner has applied two of its own (its replica
+  // mounts from the snapshot taken when the round admitting it was
+  // applied, then the per-round hash guard checks it like everyone else).
   const TimeNs deadline = c.sim().now() + scaled(sec(20));
-  while (!(c.has_replica(joiner) && c.replica(joiner).next_round() > 0) &&
+  while (!(first && c.has_replica(joiner) &&
+           c.replica(joiner).next_round() > *first + 1) &&
          c.sim().now() < deadline) {
     c.cluster().broadcast_all_now();
     c.cluster().run_for(ms(5));
   }
+  ASSERT_TRUE(first.has_value()) << "the join never committed";
   ASSERT_TRUE(c.has_replica(joiner)) << "joiner never mounted a replica";
-  ASSERT_GT(c.replica(joiner).next_round(), 0u);
+  ASSERT_GT(c.replica(joiner).next_round(), *first + 1);
   EXPECT_EQ(c.kv(joiner).get_local(b("key-9")), b("v"));
+  // Quiesce: with no more broadcasts every node stops at the same round,
+  // where the joiner's state is replica 0's byte for byte.
+  c.cluster().run_for(ms(50));
+  ASSERT_EQ(c.replica(joiner).next_round(), c.replica(0).next_round());
+  EXPECT_EQ(c.replica(joiner).snapshot(), c.replica(0).snapshot());
+  expect_converged(c);
+}
+
+// The guard's memory is bounded by how far replicas lag, not by the run:
+// once every live replica is past a round, its hash is dropped.
+TEST(SimKv, GuardDropsHashesEveryReplicaChecked) {
+  SimKvCluster c(small_cluster(5));
+  c.on_deliver = [&](NodeId who, const core::RoundResult&, TimeNs) {
+    c.cluster().broadcast_now(who);  // keep rounds going
+  };
+  c.cluster().broadcast_all_now();
+  const TimeNs deadline = c.sim().now() + scaled(sec(20));
+  while (c.replica(0).next_round() < 200 && c.sim().now() < deadline) {
+    c.cluster().run_for(ms(1));
+  }
+  ASSERT_GE(c.replica(0).next_round(), 200u);
+  EXPECT_FALSE(c.hash_after(0).has_value());
+  EXPECT_FALSE(c.hash_after(100).has_value());
+  const Round last = c.replica(0).next_round() - 1;
+  EXPECT_TRUE(c.hash_after(last).has_value());
   expect_converged(c);
 }
 
@@ -280,33 +310,6 @@ TEST(SimKv, PipelinedJoinerMountsAtItsFirstRound) {
   EXPECT_EQ(digest, 7596610324126362806ull);
 }
 
-TEST(SimKv, LaggingReplicaSpawnsFromRetainedSnapshot) {
-  SimKvOptions opt = small_cluster(5);
-  opt.snapshot_every = 4;
-  opt.keep_snapshots = 2;
-  SimKvCluster c(opt);
-  auto session = c.make_session();
-  for (int i = 0; i < 9; ++i) {
-    ASSERT_TRUE(c.execute(0, session,
-                          Command::put(b("k" + std::to_string(i)), b("v"))));
-  }
-  const Round tip = c.replica(0).next_round();
-  ASSERT_GE(tip, 9u);
-
-  // A fresh replica built from the newest retained restore point plus
-  // log replay matches the live ones bit for bit.
-  const auto spawned = c.spawn_replica_at(tip);
-  ASSERT_NE(spawned, nullptr);
-  EXPECT_EQ(spawned->next_round(), tip);
-  EXPECT_EQ(spawned->state_hash(), c.replica(0).state_hash());
-  EXPECT_EQ(spawned->snapshot(), c.replica(0).snapshot());
-
-  // Rounds below the oldest retained restore point are truncated, so a
-  // from-zero spawn is (correctly) impossible.
-  EXPECT_EQ(c.logged_round(0), nullptr);
-  EXPECT_EQ(c.spawn_replica_at(1), nullptr);
-}
-
 // ---------------------------------------------------------------------
 // Event order on the externally driven path. SimClusterEventOrder's
 // digest is one run_for, so nothing is scheduled between two run_until
@@ -321,7 +324,6 @@ TEST(SimKvEventOrder, PinnedDigest) {
   opt.cluster.n = 8;
   opt.cluster.window = 2;
   opt.cluster.heartbeat_fd = true;
-  opt.snapshot_every = 4;
   SimKvCluster c(opt);
 
   std::uint64_t digest = 0xcbf29ce484222325ull;  // FNV-1a over the fields
