@@ -29,15 +29,11 @@ namespace allconcur::plus {
 class FallbackTimer {
  public:
   /// `timeout` <= 0 disables the watchdog (poll never fires).
-  /// `max_round_age` caps how long progress re-arms can defer the fallback
-  /// for one round: 0 picks the default of 8x the timeout, < 0 disables
-  /// the cap (the pre-cap behaviour — vulnerable to gray-failure trickle).
-  explicit FallbackTimer(DurationNs timeout, DurationNs max_round_age = 0)
-      : timeout_(timeout),
-        max_round_age_(max_round_age == 0 ? 8 * timeout : max_round_age) {}
+  explicit FallbackTimer(DurationNs timeout) : timeout_(timeout) {}
 
   DurationNs timeout() const { return timeout_; }
-  DurationNs max_round_age() const { return max_round_age_; }
+  /// How long progress re-arms can defer the fallback for one round.
+  DurationNs max_round_age() const { return 8 * timeout_; }
 
   /// Observability tap (may be null): owned by the deployment, shared
   /// with its engine so watchdog events interleave with the round
@@ -85,8 +81,7 @@ class FallbackTimer {
       armed_at_ = now;
       if (rec_) rec_->record(obs::EventKind::kTimerArm, watched_);
     }
-    const bool aged =
-        max_round_age_ > 0 && now - armed_at_ >= max_round_age_;
+    const bool aged = now - armed_at_ >= max_round_age();
     if (progress != progress_) {
       progress_ = progress;
       since_ = now;
@@ -118,7 +113,6 @@ class FallbackTimer {
 
  private:
   DurationNs timeout_;
-  DurationNs max_round_age_;
   Round watched_ = 0;
   std::size_t progress_ = 0;
   TimeNs since_ = 0;

@@ -462,22 +462,13 @@ TEST(DualEngine, WatchdogPolicyFiresOnceAndRearms) {
 TEST(DualEngine, WatchdogTrickleCannotRearmForever) {
   // Gray-failure regression: a peer that trickles one frame per timeout
   // bumps the progress counter on every poll, and each bump re-arms the
-  // deadline. Uncapped, the watched round never falls back.
-  plus::FallbackTimer uncapped(ms(10), /*max_round_age=*/-1);
-  std::size_t progress = 1;
-  TimeNs now = 0;
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_FALSE(uncapped.poll(0, progress++, now).has_value()) << i;
-    now += ms(9);  // always inside the timeout, always fresh progress
-  }
-
-  // The max-round-age cap (default 8x timeout) bounds the deferral: once
-  // the round has been armed that long, trickling progress no longer
-  // buys time and the watchdog fires.
+  // deadline. The max-round-age cap (8x timeout) bounds the deferral:
+  // once the round has been armed that long, trickling progress no
+  // longer buys time and the watchdog fires.
   plus::FallbackTimer capped(ms(10));
   EXPECT_EQ(capped.max_round_age(), ms(80));
-  progress = 1;
-  now = 0;
+  std::size_t progress = 1;
+  TimeNs now = 0;
   std::optional<Round> fired;
   TimeNs fired_at = kTimeNever;
   for (int i = 0; i < 100 && !fired; ++i) {
