@@ -55,12 +55,6 @@ const SessionTable::Entry* SessionTable::find(std::uint64_t session) const {
   return slot.entry == 0 ? nullptr : &entries_[slot.entry - 1];
 }
 
-bool SessionTable::is_duplicate(std::uint64_t session,
-                                std::uint64_t seq) const {
-  const Entry* e = find(session);
-  return e != nullptr && seq <= e->last_seq;
-}
-
 std::vector<std::uint8_t>* SessionTable::admit(std::uint64_t session,
                                                std::uint64_t seq) {
   const std::size_t slot = probe(session);
@@ -73,15 +67,6 @@ std::vector<std::uint8_t>* SessionTable::admit(std::uint64_t session,
   }
   e->last_seq = seq;
   return &e->response;
-}
-
-void SessionTable::record(std::uint64_t session, std::uint64_t seq,
-                          std::vector<std::uint8_t> response) {
-  const std::size_t slot = probe(session);
-  Entry& e = index_[slot].entry != 0 ? entries_[index_[slot].entry - 1]
-                                     : add(session, slot);
-  e.last_seq = seq;
-  e.response = std::move(response);
 }
 
 std::optional<std::vector<std::uint8_t>> SessionTable::response(
@@ -129,8 +114,11 @@ bool SessionTable::decode_from(std::span<const std::uint8_t> bytes,
       return false;
     }
     // Each session has one entry; a repeated id is corruption.
-    if (table.find(session) != nullptr) return false;
-    table.record(session, last_seq, {response.begin(), response.end()});
+    const std::size_t slot = table.probe(session);
+    if (table.index_[slot].entry != 0) return false;
+    Entry& e = table.add(session, slot);
+    e.last_seq = last_seq;
+    e.response.assign(response.begin(), response.end());
   }
   *this = std::move(table);
   return true;

@@ -42,22 +42,14 @@ class SessionTable {
     std::vector<std::uint8_t> response;  ///< response of that command
   };
 
-  /// True iff (session, seq) was already applied: seq ≤ the session's
-  /// last applied sequence number.
-  bool is_duplicate(std::uint64_t session, std::uint64_t seq) const;
-
-  /// The apply path's single lookup. Returns nullptr (recording nothing)
-  /// when (session, seq) is a duplicate; otherwise records seq as the
+  /// The table's only write path besides decode_from. Returns nullptr
+  /// (recording nothing) when (session, seq) is a duplicate — seq is at
+  /// most the session's last applied seq; otherwise records seq as the
   /// session's latest and returns its cached-response buffer, which the
   /// caller overwrites with the command's response. The buffer keeps its
   /// capacity from earlier commands. The pointer is valid until the next
   /// call that adds a session.
   std::vector<std::uint8_t>* admit(std::uint64_t session, std::uint64_t seq);
-
-  /// Records a freshly applied command and caches its response.
-  /// Pre: !is_duplicate(session, seq).
-  void record(std::uint64_t session, std::uint64_t seq,
-              std::vector<std::uint8_t> response);
 
   /// Cached response for the session's most recent command, if it is
   /// exactly `seq` (older responses are not retained: clients retry only

@@ -430,8 +430,8 @@ TEST(SmrApply, SessionTableKeepsFirstSeenOrderAcrossRestore) {
 
 TEST(SmrApply, DecodeRejectsDuplicateSessionIds) {
   SessionTable table;
-  table.record(5, 1, Bytes{1});
-  table.record(6, 1, Bytes{2});
+  *table.admit(5, 1) = Bytes{1};
+  *table.admit(6, 1) = Bytes{2};
   Bytes out;
   table.encode_into(out);
   // Rewrite the second entry's id (after [u32 count] and the first

@@ -206,23 +206,28 @@ TEST(KvStore, SnapshotRestoreRoundTrips) {
 
 TEST(SessionTable, DedupAndResponseCache) {
   SessionTable table;
-  EXPECT_FALSE(table.is_duplicate(7, 1));
-  table.record(7, 1, Bytes{0xaa});
-  EXPECT_TRUE(table.is_duplicate(7, 1));
-  EXPECT_FALSE(table.is_duplicate(7, 2));
-  EXPECT_FALSE(table.is_duplicate(8, 1));
+  EXPECT_EQ(table.find(7), nullptr);
+  Bytes* first = table.admit(7, 1);
+  ASSERT_NE(first, nullptr);
+  *first = Bytes{0xaa};
+  EXPECT_EQ(table.admit(7, 1), nullptr);  // a duplicate records nothing
+  ASSERT_NE(table.find(7), nullptr);
+  EXPECT_EQ(table.find(7)->last_seq, 1u);  // so seq 2 is still new
+  EXPECT_EQ(table.find(8), nullptr);
   EXPECT_EQ(table.response(7, 1), Bytes{0xaa});
 
-  table.record(7, 2, Bytes{0xbb});
-  EXPECT_TRUE(table.is_duplicate(7, 1));  // older seqs stay duplicates
+  Bytes* second = table.admit(7, 2);
+  ASSERT_NE(second, nullptr);
+  *second = Bytes{0xbb};
+  EXPECT_EQ(table.admit(7, 1), nullptr);  // older seqs stay duplicates
   EXPECT_EQ(table.response(7, 2), Bytes{0xbb});
   EXPECT_FALSE(table.response(7, 1).has_value());  // only latest cached
 }
 
 TEST(SessionTable, SerializationRoundTrips) {
   SessionTable table;
-  table.record(3, 5, Bytes{1, 2, 3});
-  table.record(0xffffffffffffffffull, 1, Bytes{});
+  *table.admit(3, 5) = Bytes{1, 2, 3};
+  ASSERT_NE(table.admit(0xffffffffffffffffull, 1), nullptr);
   std::vector<std::uint8_t> out;
   table.encode_into(out);
 
@@ -231,7 +236,7 @@ TEST(SessionTable, SerializationRoundTrips) {
   ASSERT_TRUE(back.decode_from(out, at));
   EXPECT_EQ(at, out.size());
   EXPECT_EQ(back.size(), 2u);
-  EXPECT_TRUE(back.is_duplicate(3, 5));
+  EXPECT_EQ(back.admit(3, 5), nullptr);  // restored as applied
   EXPECT_EQ(back.response(3, 5), (Bytes{1, 2, 3}));
 
   std::size_t bad_at = 0;
